@@ -1,6 +1,6 @@
 use crate::cancel::CancelToken;
 use crate::mask::DropoutMasks;
-use crate::{metrics, BayesError, BayesianNetwork, SampleRun};
+use crate::{metrics, BayesError, BayesianNetwork};
 use fbcnn_nn::Workspace;
 use fbcnn_tensor::{stats, Tensor};
 use serde::{Deserialize, Serialize};
@@ -86,20 +86,6 @@ pub struct McRequest<'a> {
     /// The request's mask seed; sample `t` uses
     /// `generate_masks(seed, t)` exactly as a standalone run would.
     pub seed: u64,
-}
-
-/// Everything a complete MC-dropout run produced — the raw material for
-/// the characterization, prediction and accelerator experiments.
-///
-/// Holding the full trace (pre-inference plus every sample's masks and
-/// activations) lets each hardware configuration be evaluated without
-/// re-running the functional network.
-#[derive(Debug, Clone)]
-pub struct McTrace {
-    /// The dropout-free pre-inference.
-    pub pre: SampleRun,
-    /// Per-sample `(masks, run)` pairs, `T` of them.
-    pub samples: Vec<(DropoutMasks, SampleRun)>,
 }
 
 impl McDropout {
@@ -456,22 +442,6 @@ impl McDropout {
         Ok(out)
     }
 
-    /// Runs `T` stochastic passes plus the pre-inference, keeping the full
-    /// trace. Shares one [`Workspace`] across the sample passes, like
-    /// [`McDropout::run`].
-    pub fn run_trace(&self, bnet: &BayesianNetwork, input: &Tensor) -> McTrace {
-        let pre = bnet.forward_deterministic(input);
-        let mut ws = Workspace::new();
-        let samples = (0..self.t)
-            .map(|t| {
-                let masks = bnet.generate_masks(self.seed, t);
-                let run = bnet.forward_sample_ws(input, &masks, &mut ws);
-                (masks, run)
-            })
-            .collect();
-        McTrace { pre, samples }
-    }
-
     /// Builds a [`Prediction`] from per-sample probability rows,
     /// reporting malformed inputs as typed errors.
     ///
@@ -524,28 +494,6 @@ impl McDropout {
     }
 }
 
-impl McTrace {
-    /// Summarizes the trace's samples into a [`Prediction`].
-    pub fn prediction(&self) -> Prediction {
-        McDropout::summarize(
-            self.samples
-                .iter()
-                .map(|(_, run)| stats::softmax(run.logits()))
-                .collect(),
-        )
-    }
-
-    /// Number of samples `T`.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the trace holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,17 +529,6 @@ mod tests {
         assert_eq!(a, b);
         let c = McDropout::new(3, 10).run(&bnet, &input);
         assert_ne!(a.sample_probs, c.sample_probs);
-    }
-
-    #[test]
-    fn trace_prediction_matches_direct_run() {
-        let (bnet, input) = setup();
-        let runner = McDropout::new(4, 2);
-        let direct = runner.run(&bnet, &input);
-        let trace = runner.run_trace(&bnet, &input);
-        assert_eq!(trace.len(), 4);
-        assert!(!trace.is_empty());
-        assert_eq!(trace.prediction(), direct);
     }
 
     #[test]

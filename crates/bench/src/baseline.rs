@@ -6,14 +6,15 @@
 //! speedups, so they compare meaningfully across hosts in a way raw
 //! nanosecond timings never would.
 //!
-//! The walk is schema-agnostic: any numeric field named `speedup`,
-//! `speedup_fast` or `speedup_parallel` anywhere in the JSON tree is a
-//! headline ratio, keyed by its path (array elements carrying a
-//! `batch_size` field are keyed by it, so reordering or extending the
-//! measured sizes never misaligns the comparison). This covers both
-//! `BENCH_hotpath.json` (`conv.speedup_fast`, …) and `BENCH_batch.json`
-//! (`points[batch_size=8].speedup`, …) without binding the checker to
-//! either record's full shape.
+//! The walk is schema-agnostic: every numeric entry of a `headline`
+//! map (the [`crate::BenchRecord`] shape, e.g.
+//! `headline.speedup[batch_size=8]`) and any numeric field named
+//! `speedup`, `speedup_fast` or `speedup_parallel` anywhere in the JSON
+//! tree is a headline ratio, keyed by its path (array elements carrying
+//! a `batch_size` field are keyed by it). This covers both the
+//! schema-tagged records and the schema-less `BENCH_hotpath.json`
+//! (`conv.speedup_fast`, …) without binding the checker to either
+//! shape.
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -43,6 +44,14 @@ fn walk(v: &Value, path: &str, out: &mut BTreeMap<String, f64>) {
                 } else {
                     format!("{path}.{k}")
                 };
+                if let (true, Some(ratios)) = (k == "headline", child.as_map()) {
+                    for (name, x) in ratios {
+                        if let Some(x) = as_number(x) {
+                            out.insert(format!("{child_path}.{name}"), x);
+                        }
+                    }
+                    continue;
+                }
                 if RATIO_FIELDS.contains(&k.as_str()) {
                     if let Some(x) = as_number(child) {
                         out.insert(child_path, x);
@@ -165,6 +174,15 @@ mod tests {
         assert_eq!(ratios.get("points[batch_size=1].speedup"), Some(&1.0));
         // A *string* field named like a ratio is not a ratio.
         assert_eq!(ratios.len(), 4);
+    }
+
+    #[test]
+    fn every_headline_entry_is_a_ratio() {
+        let v = parse(r#"{"headline": {"speedup[batch_size=8]": 1.7, "speedup": 0.75}}"#);
+        let ratios = headline_ratios(&v);
+        assert_eq!(ratios.get("headline.speedup[batch_size=8]"), Some(&1.7));
+        assert_eq!(ratios.get("headline.speedup"), Some(&0.75));
+        assert_eq!(ratios.len(), 2);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! global recorder slot.
 
 use fast_bcnn::chaos::{run_chaos_with_registry, ChaosConfig};
-use fbcnn_bench::ChaosBenchReport;
+use fbcnn_bench::BenchRecord;
 
 fn main() {
     let args = fbcnn_bench::parse_args();
@@ -24,16 +24,16 @@ fn main() {
     };
 
     let (report, registry) = run_chaos_with_registry(&cfg);
-    let bench = ChaosBenchReport::from_report(&report, quick);
+    let t = &report.totals;
 
     println!(
         "== chaos soak (seed {}, {} rounds, {} requests, {} fault classes) ==",
-        bench.seed,
-        bench.rounds.len(),
-        bench.requests_total,
-        bench.classes.len()
+        report.seed,
+        report.rounds.len(),
+        report.requests_total,
+        report.classes.len()
     );
-    for r in &bench.rounds {
+    for r in &report.rounds {
         println!(
             "round {:<18} offered {:>3} | ok {:>3} | failed {:>3} | expired {:>3} | \
              shed {:>3} | retries {:>3}",
@@ -43,25 +43,25 @@ fn main() {
     println!(
         "totals: ok {} / failed {} | shed {} | degraded {} | expired {} | \
          retries {} (healed {}, exhausted {}) | forced exact {} | probes {}",
-        bench.ok_total,
-        bench.failed_total,
-        bench.shed,
-        bench.degraded,
-        bench.expired,
-        bench.retries,
-        bench.retry_successes,
-        bench.retry_exhausted,
-        bench.forced_exact,
-        bench.probes,
+        report.ok_total,
+        report.failed_total,
+        t.shed,
+        t.degraded,
+        t.expired,
+        t.retries,
+        t.retry_successes,
+        t.retry_exhausted,
+        t.forced_exact,
+        t.probes,
     );
     let path_of = |(from, to): &(String, String)| format!("{from}->{to}");
     println!(
         "breaker: {} (transitions: {})",
-        bench.final_breaker_state,
-        if bench.transitions.is_empty() {
+        report.final_breaker_state,
+        if report.transitions.is_empty() {
             "none".to_string()
         } else {
-            bench
+            report
                 .transitions
                 .iter()
                 .map(path_of)
@@ -69,46 +69,16 @@ fn main() {
                 .join(", ")
         }
     );
-    for (reason, n) in &bench.loss_reasons {
+    for (reason, n) in &report.loss_reasons {
         println!("loss[{reason}] = {n}");
     }
 
-    // The campaign recorded into its own registry; export the artifacts
-    // directly from it instead of installing a global FileSink (the
-    // install lock is not reentrant across `run_chaos`).
-    if let Some(p) = &args.trace_out {
-        match registry.write_jsonl(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(p) = &args.metrics_out {
-        match registry.write_prometheus(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_chaos.json".into());
-    match fast_bcnn::report::save_json(&path, &bench) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(reason) = bench.validate() {
-        eprintln!("chaos: FAIL — {reason}");
-        std::process::exit(1);
-    }
+    fbcnn_bench::export_registry(
+        &registry,
+        args.trace_out.as_deref(),
+        args.metrics_out.as_deref(),
+    );
+    let path = args.json.as_deref().unwrap_or("BENCH_chaos.json");
+    fbcnn_bench::write_record("chaos", &BenchRecord::chaos(&report, quick), path);
     println!("chaos: ok — every loss typed, accounting reconciled exactly");
 }

@@ -13,116 +13,35 @@
 //! Unknown flags are hard errors (exit 2).
 
 use fast_bcnn::serve::{run_serve_soak_with_registry, LoadMode, ServeSoakConfig};
-use fbcnn_bench::ServeBenchReport;
+use fbcnn_bench::{usage_error, BenchRecord};
 
-struct Args {
-    quick: bool,
-    seed: u64,
-    connections: Option<usize>,
-    requests: Option<usize>,
-    mode: Option<LoadMode>,
-    json: Option<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: loadgen [--quick] [--seed <N>] [--connections <N>] [--requests <N>] \
-         [--mode closed|open] [--json <path>] [--trace-out <path>] [--metrics-out <path>]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = Args {
-        quick: false,
-        seed: 11,
-        connections: None,
-        requests: None,
-        mode: None,
-        json: None,
-        trace_out: None,
-        metrics_out: None,
-    };
-    let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> String {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a value");
-            usage();
-        })
-    };
-    let number = |argv: &[String], i: usize, flag: &str| -> u64 {
-        let raw = value(argv, i, flag);
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} needs a number, got `{raw}`");
-            usage();
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--quick" => args.quick = true,
-            "--seed" => {
-                args.seed = number(&argv, i, "--seed");
-                i += 1;
-            }
-            "--connections" => {
-                args.connections = Some(number(&argv, i, "--connections").max(1) as usize);
-                i += 1;
-            }
-            "--requests" => {
-                args.requests = Some(number(&argv, i, "--requests").max(1) as usize);
-                i += 1;
-            }
-            "--mode" => {
-                let raw = value(&argv, i, "--mode");
-                match LoadMode::parse(&raw) {
-                    Some(mode) => args.mode = Some(mode),
-                    None => {
-                        eprintln!("error: --mode must be `closed` or `open`, got `{raw}`");
-                        usage();
-                    }
-                }
-                i += 1;
-            }
-            "--json" => {
-                args.json = Some(value(&argv, i, "--json"));
-                i += 1;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(value(&argv, i, "--trace-out"));
-                i += 1;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(value(&argv, i, "--metrics-out"));
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown flag: {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    args
-}
+const USAGE: &str = "loadgen [--quick] [--seed <N>] [--connections <N>] [--requests <N>] \
+     [--mode closed|open] [--json <path>] [--trace-out <path>] [--metrics-out <path>]";
 
 fn main() {
-    let args = parse_args();
+    let args = fbcnn_bench::parse_soak_args(USAGE, &["--connections", "--requests", "--mode"]);
     let mut cfg = if args.quick {
         ServeSoakConfig::quick(args.seed)
     } else {
         ServeSoakConfig::full(args.seed)
     };
-    if let Some(connections) = args.connections {
-        cfg.connections = connections;
-    }
-    if let Some(requests) = args.requests {
-        cfg.requests_per_connection = requests;
-    }
-    if let Some(mode) = args.mode {
-        cfg.mode = mode;
+    for (flag, raw) in &args.extra {
+        let number = || match raw.parse::<u64>() {
+            Ok(n) => n.max(1) as usize,
+            Err(_) => usage_error(&format!("{flag} needs a number, got `{raw}`"), USAGE),
+        };
+        match flag.as_str() {
+            "--connections" => cfg.connections = number(),
+            "--requests" => cfg.requests_per_connection = number(),
+            _ => {
+                cfg.mode = LoadMode::parse(raw).unwrap_or_else(|| {
+                    usage_error(
+                        &format!("--mode must be `closed` or `open`, got `{raw}`"),
+                        USAGE,
+                    )
+                })
+            }
+        }
     }
 
     let (report, registry) = match run_serve_soak_with_registry(&cfg) {
@@ -133,82 +52,57 @@ fn main() {
         }
     };
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let bench = ServeBenchReport::from_soak(&report, args.quick, cpus);
+    let record = BenchRecord::serve(&report, args.quick, cpus);
+    let lg = &report.loadgen.totals;
 
     println!(
         "== serve soak (seed {}, {} mode, {} connections x {} requests, {} CPUs) ==",
-        bench.seed, bench.mode, bench.connections, bench.requests_per_connection, bench.cpus
+        report.seed, report.mode, report.connections, report.requests_per_connection, cpus
     );
     println!(
         "offered {} | ok {} | failed {} | shed {} | expired {} | wire errors {} | \
          unknown class {}",
-        bench.offered,
-        bench.ok,
-        bench.failed,
-        bench.shed,
-        bench.expired,
-        bench.wire_errors,
-        bench.unknown_class,
+        lg.offered,
+        lg.ok,
+        lg.failed,
+        lg.shed,
+        lg.expired,
+        lg.wire_error_responses,
+        lg.unknown_class,
     );
     println!(
         "registry: {} requests ({} ok / {} failed) | connections {} (+{} rejected)",
-        bench.registry_requests,
-        bench.registry_ok,
-        bench.registry_failed,
-        bench.server_connections,
-        bench.server_connections_rejected,
+        report.registry_requests,
+        report.registry_ok,
+        report.registry_failed,
+        report.server.connections,
+        report.server.connections_rejected,
     );
     println!(
-        "goodput {:.0} req/s | bit checks {} ({} mismatched) | aborted workers {}",
-        bench.goodput_rps, bench.bit_checked, bench.bit_mismatched, bench.aborted_workers,
+        "goodput {:.2}x the host-scaled floor | bit checks {} ({} mismatched) | \
+         aborted workers {}",
+        record.headline["speedup"],
+        lg.bit_checked,
+        lg.bit_mismatched,
+        report.loadgen.aborted_workers,
     );
-    let mut last_class = "";
-    for q in &bench.quantiles {
-        if q.class != last_class {
-            println!("latency[{}]:", q.class);
-            last_class = &q.class;
-        }
-        println!(
-            "  {:<5} estimate {:>12.0} ns | exact {:>12} ns",
-            q.name, q.estimate_ns, q.exact_ns
-        );
-    }
-
-    // The soak recorded into its own registry; export directly from it
-    // (the global install lock is not reentrant).
-    if let Some(p) = &args.trace_out {
-        match registry.write_jsonl(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(p) = &args.metrics_out {
-        match registry.write_prometheus(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
+    for (key, exact) in &record.counts {
+        if let Some(cell) = key.strip_prefix("exact_ns[") {
+            println!(
+                "  {:<18} estimate {:>12} ns | exact {:>12} ns",
+                cell.trim_end_matches(']'),
+                record.count(&format!("estimate_ns[{cell}")),
+                exact
+            );
         }
     }
 
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-    match fast_bcnn::report::save_json(&path, &bench) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(reason) = bench.validate() {
-        eprintln!("loadgen: FAIL — {reason}");
-        std::process::exit(1);
-    }
+    fbcnn_bench::export_registry(
+        &registry,
+        args.trace_out.as_deref(),
+        args.metrics_out.as_deref(),
+    );
+    let path = args.json.as_deref().unwrap_or("BENCH_serve.json");
+    fbcnn_bench::write_record("loadgen", &record, path);
     println!("loadgen: ok — ledger reconciled exactly, zero aborts, bit identity held");
 }

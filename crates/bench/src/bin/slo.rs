@@ -14,7 +14,7 @@
 //! registry after the run.
 
 use fast_bcnn::slo::{run_slo_soak_with_registry, SloSoakConfig};
-use fbcnn_bench::SloBenchReport;
+use fbcnn_bench::BenchRecord;
 
 fn main() {
     let args = fbcnn_bench::parse_args();
@@ -32,23 +32,22 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let bench = SloBenchReport::from_report(&report, quick);
 
     println!(
         "== slo soak (seed {}, {} windows of {} ns, fast span {}, slow span {}, budget {:.0}%) ==",
-        bench.seed,
-        bench.windows,
-        bench.window_width_ns,
-        bench.fast_windows,
-        bench.slow_windows,
-        bench.error_budget * 100.0
+        report.seed,
+        report.windows,
+        report.window_width_ns,
+        report.fast_windows,
+        report.slow_windows,
+        report.error_budget * 100.0
     );
-    for v in &bench.verdicts {
+    for v in &report.verdicts {
         println!(
             "window {:>2} {:<9} {:>8} | {:>3} requests{}",
             v.window,
             v.phase,
-            v.status.to_uppercase(),
+            v.status.name().to_uppercase(),
             v.requests,
             if v.violations.is_empty() {
                 String::new()
@@ -59,15 +58,15 @@ fn main() {
     }
     println!(
         "registry: {} requests, {} ok / {} failed | windowed view agrees cell by cell",
-        bench.registry_requests, bench.registry_ok, bench.registry_failed
+        report.registry_requests, report.registry_ok, report.registry_failed
     );
-    if let Some(chaos) = &bench.chaos {
+    if let Some(chaos) = &report.chaos {
         println!(
             "chaos (class `default`): {} requests, {} ok / {} failed | windowed view agrees",
             chaos.requests, chaos.ok, chaos.failed
         );
     }
-    for q in &bench.quantiles {
+    for q in &report.quantiles {
         println!(
             "quantile {:>4}: estimate {:>12.0} ns vs exact {:>12} ns [{}]",
             q.name,
@@ -82,49 +81,22 @@ fn main() {
     }
     println!(
         "postmortem: trigger `{}`, {} records ({} degraded), replays failed ids {:?}",
-        bench.postmortem_trigger,
-        bench.postmortem_records,
-        bench.postmortem_degraded,
-        bench.postmortem_failed_ids
+        report.postmortem_trigger,
+        report.postmortem_records,
+        report.postmortem_degraded,
+        report.postmortem_failed_ids
     );
 
-    // The soak recorded into its own windowed registry; export the
-    // artifacts from its total view instead of installing a global
-    // FileSink (the install lock is not reentrant across the soak).
-    if let Some(p) = &args.trace_out {
-        match windowed.total().write_jsonl(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(p) = &args.metrics_out {
-        match windowed.total().write_prometheus(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let path = args.json.clone().unwrap_or_else(|| "BENCH_slo.json".into());
-    match fast_bcnn::report::save_json(&path, &bench) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(reason) = bench.validate() {
-        eprintln!("slo: FAIL — {reason}");
-        std::process::exit(1);
-    }
+    fbcnn_bench::export_registry(
+        windowed.total(),
+        args.trace_out.as_deref(),
+        args.metrics_out.as_deref(),
+    );
+    let path = args.json.as_deref().unwrap_or("BENCH_slo.json");
+    fbcnn_bench::write_record("slo", &BenchRecord::slo(&report, quick), path);
     // The acceptance dump was read back and verified; don't leave it in
     // the temp directory.
-    if let Some(p) = &bench.postmortem_path {
+    if let Some(p) = &report.postmortem_path {
         let _ = std::fs::remove_file(p);
     }
     println!("slo: ok — health walk paged and recovered, accounting reconciled exactly");

@@ -14,75 +14,13 @@
 //! errors (exit 2).
 
 use fast_bcnn::serve::{run_supervise_soak_with_registry, SuperviseSoakConfig};
-use fbcnn_bench::SuperviseBenchReport;
-
-struct Args {
-    quick: bool,
-    seed: u64,
-    json: Option<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: supervise [--quick] [--seed <N>] [--json <path>] \
-         [--trace-out <path>] [--metrics-out <path>]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = Args {
-        quick: false,
-        seed: 11,
-        json: None,
-        trace_out: None,
-        metrics_out: None,
-    };
-    let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> String {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a value");
-            usage();
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--quick" => args.quick = true,
-            "--seed" => {
-                let raw = value(&argv, i, "--seed");
-                args.seed = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --seed needs a number, got `{raw}`");
-                    usage();
-                });
-                i += 1;
-            }
-            "--json" => {
-                args.json = Some(value(&argv, i, "--json"));
-                i += 1;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(value(&argv, i, "--trace-out"));
-                i += 1;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(value(&argv, i, "--metrics-out"));
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown flag: {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    args
-}
+use fbcnn_bench::BenchRecord;
 
 fn main() {
-    let args = parse_args();
+    let args = fbcnn_bench::parse_soak_args(
+        "supervise [--quick] [--seed <N>] [--json <path>] [--trace-out <path>] [--metrics-out <path>]",
+        &[],
+    );
     let cfg = if args.quick {
         SuperviseSoakConfig::quick(args.seed)
     } else {
@@ -97,57 +35,66 @@ fn main() {
         }
     };
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let bench = SuperviseBenchReport::from_soak(&report, args.quick, cpus);
+    let record = BenchRecord::supervise(&report, args.quick, cpus);
+    let lg = &report.loadgen;
 
     println!(
         "== supervision soak (seed {}, {} shards, {} connections/burst, {} bursts, {} CPUs) ==",
-        bench.seed, bench.shards, bench.connections, bench.bursts, bench.cpus
+        report.seed, report.shards, report.connections, report.bursts, cpus
     );
     println!(
         "offered {} | ok {} | failed {} | shed {} | expired {} | wire errors {} | \
          unknown class {}",
-        bench.offered,
-        bench.ok,
-        bench.failed,
-        bench.shed,
-        bench.expired,
-        bench.wire_errors,
-        bench.unknown_class,
+        lg.offered,
+        lg.ok,
+        lg.failed,
+        lg.shed,
+        lg.expired,
+        lg.wire_error_responses,
+        lg.unknown_class,
     );
     println!(
         "registry: {} requests ({} ok / {} failed) | adversarial {} connections \
          ({} rejects read back)",
-        bench.registry_requests,
-        bench.registry_ok,
-        bench.registry_failed,
-        bench.adversarial_connections,
-        bench.adversarial_rejects,
+        report.registry_requests,
+        report.registry_ok,
+        report.registry_failed,
+        report.adversarial.connections,
+        report.adversarial.rejects_received,
     );
     println!(
         "healing: {} rebuilds ({} re-admitted / {} probe-rejected) | {} failovers | \
          all quarantined in {:.0} ms, campaign {:.0} ms",
-        bench.rebuild_attempts,
-        bench.rebuild_successes,
-        bench.rebuild_probe_rejects,
-        bench.failovers,
-        bench.quarantine_elapsed_ns as f64 / 1e6,
-        bench.elapsed_ns as f64 / 1e6,
+        report.rebuild_attempts,
+        report.rebuild_successes,
+        report.rebuild_probe_rejects,
+        record.count("failovers"),
+        report.quarantine_elapsed_ns as f64 / 1e6,
+        report.elapsed_ns as f64 / 1e6,
     );
     println!("shard  poison  health    walk  served   ok   failed abandoned  out   in  quar");
-    for c in &bench.shard_cells {
+    for (shard, l) in report.ledger.iter().enumerate() {
+        let poisoned = report.poisoned.iter().position(|&p| p == shard);
         println!(
             "{:>5}  {:<6}  {:<8}  {:<4}  {:>6} {:>5} {:>6} {:>9} {:>5} {:>4} {:>5}",
-            c.shard,
-            c.poison.as_deref().unwrap_or("-"),
-            c.health,
-            if c.full_walk { "yes" } else { "-" },
-            c.served,
-            c.ok,
-            c.failed,
-            c.abandoned,
-            c.failovers_out,
-            c.failovers_in,
-            c.quarantines,
+            shard,
+            poisoned.map_or("-", |i| ["panic", "hang", "jam"]
+                .get(i)
+                .copied()
+                .unwrap_or("?")),
+            report.health.get(shard).map_or("?", String::as_str),
+            if poisoned.is_some_and(|i| report.full_walks.get(i) == Some(&true)) {
+                "yes"
+            } else {
+                "-"
+            },
+            l.served,
+            l.ok,
+            l.failed,
+            l.abandoned,
+            l.failovers_out,
+            l.failovers_in,
+            l.quarantines,
         );
     }
     print!(
@@ -155,42 +102,13 @@ fn main() {
         fast_bcnn::TelemetryReport::from_registry(&registry).render()
     );
 
-    // The soak recorded into its own registry; export directly from it
-    // (the global install lock is not reentrant).
-    if let Some(p) = &args.trace_out {
-        match registry.write_jsonl(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(p) = &args.metrics_out {
-        match registry.write_prometheus(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_supervise.json".into());
-    match fast_bcnn::report::save_json(&path, &bench) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(reason) = bench.validate() {
-        eprintln!("supervise: FAIL — {reason}");
-        std::process::exit(1);
-    }
+    fbcnn_bench::export_registry(
+        &registry,
+        args.trace_out.as_deref(),
+        args.metrics_out.as_deref(),
+    );
+    let path = args.json.as_deref().unwrap_or("BENCH_supervise.json");
+    fbcnn_bench::write_record("supervise", &record, path);
     println!(
         "supervise: ok — every poisoned shard quarantined, rebuilt and re-admitted; \
          ledger reconciled exactly, bit identity held"

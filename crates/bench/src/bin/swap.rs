@@ -11,7 +11,7 @@
 //! `--metrics-out` export from that registry after the run.
 
 use fast_bcnn::chaos::{run_swap_chaos_into, SwapChaosConfig};
-use fbcnn_bench::SwapBenchReport;
+use fbcnn_bench::BenchRecord;
 use std::sync::Arc;
 
 fn main() {
@@ -31,16 +31,15 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let bench = SwapBenchReport::from_report(&report, quick);
 
     println!(
         "== swap under fire (seed {}, {} rounds, {} requests, {} shards) ==",
-        bench.seed,
-        bench.rounds.len(),
-        bench.requests_total,
+        report.seed,
+        report.rounds.len(),
+        report.requests_total,
         cfg.shards
     );
-    for r in &bench.rounds {
+    for r in &report.rounds {
         println!(
             "round {:>2} {:<12} v{:<3} offered {:>3} | ok {:>3} | failed {:>3} | {}",
             r.round,
@@ -61,55 +60,28 @@ fn main() {
     println!(
         "totals: ok {} / failed {} | deploys {} | promotions {} | rollbacks {} | \
          active v{} | {} responses bit-checked ({} diverged)",
-        bench.ok_total,
-        bench.failed_total,
-        bench.deploys,
-        bench.promotions,
-        bench.rollbacks,
-        bench.final_version,
-        bench.compared_outputs,
-        bench.mismatched_outputs,
+        report.ok_total,
+        report.failed_total,
+        report.deploys,
+        report.promotions,
+        report.rollbacks,
+        report.final_version,
+        report.compared_outputs,
+        report.mismatched_outputs,
     );
-    for (version, cell) in &bench.version_requests {
+    for (version, cell) in &report.version_requests {
         println!(
             "version_requests[v{version}] = {} (ok {}, failed {}, canary {})",
             cell.requests, cell.ok, cell.failed, cell.canary
         );
     }
 
-    if let Some(p) = &args.trace_out {
-        match registry.write_jsonl(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(p) = &args.metrics_out {
-        match registry.write_prometheus(p) {
-            Ok(()) => eprintln!("wrote {p}"),
-            Err(e) => {
-                eprintln!("failed to write {p}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_swap.json".into());
-    match fast_bcnn::report::save_json(&path, &bench) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(reason) = bench.validate() {
-        eprintln!("swap: FAIL — {reason}");
-        std::process::exit(1);
-    }
+    fbcnn_bench::export_registry(
+        &registry,
+        args.trace_out.as_deref(),
+        args.metrics_out.as_deref(),
+    );
+    let path = args.json.as_deref().unwrap_or("BENCH_swap.json");
+    fbcnn_bench::write_record("swap", &BenchRecord::swap(&report, quick), path);
     println!("swap: ok — zero lost requests, version counters reconciled exactly");
 }

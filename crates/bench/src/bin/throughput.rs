@@ -9,8 +9,9 @@
 //! `bench_check` can apply the single-CPU correctness-only acceptance
 //! (see `EXPERIMENTS.md`).
 
+use fast_bcnn::Ledger;
 use fast_bcnn::{synth_input, BatchConfig, BatchEngine, BatchRequest, Engine, EngineConfig};
-use fbcnn_bench::{BatchBenchReport, BatchPoint};
+use fbcnn_bench::BenchRecord;
 use fbcnn_nn::models::ModelKind;
 use std::time::Instant;
 
@@ -29,7 +30,19 @@ fn request_queue(engine: &Engine, n: usize) -> Vec<BatchRequest> {
         .collect()
 }
 
-fn measure(engine: &Engine, threads: usize, n: usize) -> BatchPoint {
+/// One batch-size measurement.
+struct Point {
+    batch_size: usize,
+    sequential_ns: u64,
+    batch_ns: u64,
+    cache_hits: usize,
+    cache_misses: usize,
+    /// Batched results bit-identical to their sequential counterparts —
+    /// the headline invariant, measured not assumed.
+    matched: usize,
+}
+
+fn measure(engine: &Engine, threads: usize, n: usize) -> Point {
     let requests = request_queue(engine, n);
 
     let sequential_start = Instant::now();
@@ -47,26 +60,21 @@ fn measure(engine: &Engine, threads: usize, n: usize) -> BatchPoint {
         },
     );
     let report = batch.run_batch(&requests);
-    let batch_ns = report.elapsed_ns.max(1);
+    let matched = report
+        .outcomes
+        .iter()
+        .zip(&sequential)
+        .filter(|(b, s)| match (&b.result, s) {
+            (Ok(a), Ok(b)) => a == b,
+            (Err(_), Err(_)) => true,
+            _ => false,
+        })
+        .count();
 
-    let matched = report.outcomes.len() == sequential.len()
-        && report
-            .outcomes
-            .iter()
-            .zip(&sequential)
-            .all(|(b, s)| match (&b.result, s) {
-                (Ok(a), Ok(b)) => a == b,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            });
-
-    BatchPoint {
+    Point {
         batch_size: n,
         sequential_ns,
-        batch_ns,
-        sequential_rps: n as f64 / (sequential_ns as f64 / 1e9),
-        batch_rps: n as f64 / (batch_ns as f64 / 1e9),
-        speedup: sequential_ns as f64 / batch_ns as f64,
+        batch_ns: report.elapsed_ns.max(1),
         cache_hits: report.cache_hits,
         cache_misses: report.cache_misses,
         matched,
@@ -85,59 +93,67 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    let threads = args.cfg.threads;
     let sizes: &[usize] = if quick { &[1, 4, 8] } else { &[1, 2, 4, 8, 16] };
-
-    let points: Vec<BatchPoint> = sizes
+    let points: Vec<Point> = sizes
         .iter()
-        .map(|&n| measure(&engine, args.cfg.threads, n))
+        .map(|&n| measure(&engine, threads, n))
         .collect();
 
-    let report = BatchBenchReport {
-        t: args.cfg.t,
-        threads: args.cfg.threads,
-        seed: args.cfg.seed,
-        quick,
-        cpus,
-        points,
-    };
-
     println!(
-        "== batched serving throughput (B-LeNet-5, T = {}, {} threads, {} CPUs) ==",
-        report.t, report.threads, report.cpus
+        "== batched serving throughput (B-LeNet-5, T = {}, {threads} threads, {cpus} CPUs) ==",
+        args.cfg.t
     );
-    for p in &report.points {
+    let rps = |n: usize, ns: u64| n as f64 / (ns as f64 / 1e9);
+    let matched = points.iter().map(|p| p.matched as u64).sum();
+    let requests = points.iter().map(|p| p.batch_size as u64).sum();
+    let zero_timings = points
+        .iter()
+        .filter(|p| p.sequential_ns == 0 || p.batch_ns == 0);
+    let ledger = Ledger::from([(
+        "batched requests bit-identical to sequential",
+        matched,
+        requests,
+    )]);
+    let mut record = BenchRecord::new("batch-v2", args.cfg.seed, quick, ledger).with([
+        ("t", args.cfg.t as u64),
+        ("threads", threads as u64),
+        ("cpus", cpus as u64),
+        ("parallelism", cpus.min(threads) as u64),
+        ("points", points.len() as u64),
+        ("zero_timings", zero_timings.count() as u64),
+    ]);
+    for p in &points {
+        let speedup = p.sequential_ns as f64 / p.batch_ns as f64;
         println!(
-            "batch {:>3}: sequential {:>8.1} req/s | batch {:>8.1} req/s ({:.2}x) | \
+            "batch {:>3}: sequential {:>8.1} req/s | batch {:>8.1} req/s ({speedup:.2}x) | \
              cache {}/{} | bit-identical: {}",
             p.batch_size,
-            p.sequential_rps,
-            p.batch_rps,
-            p.speedup,
+            rps(p.batch_size, p.sequential_ns),
+            rps(p.batch_size, p.batch_ns),
             p.cache_hits,
             p.cache_hits + p.cache_misses,
-            if p.matched { "yes" } else { "NO" },
+            if p.matched == p.batch_size {
+                "yes"
+            } else {
+                "NO"
+            },
         );
+        let at = |field: &str| format!("{field}[batch_size={}]", p.batch_size);
+        record.headline.insert(at("speedup"), speedup);
+        record = record.with([
+            (at("sequential_ns"), p.sequential_ns),
+            (at("batch_ns"), p.batch_ns),
+            (at("cache_hits"), p.cache_hits as u64),
+            (at("cache_misses"), p.cache_misses as u64),
+        ]);
     }
-    if report.cpus < 4 {
+    if cpus < 4 {
         println!(
-            "note: {} CPU(s) — speedup is informational, correctness-only acceptance applies",
-            report.cpus
+            "note: {cpus} CPU(s) — speedup is informational, correctness-only acceptance applies"
         );
     }
 
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_batch.json".into());
-    match fast_bcnn::report::save_json(&path, &report) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(reason) = report.validate(1.5) {
-        eprintln!("throughput: FAIL — {reason}");
-        std::process::exit(1);
-    }
+    let path = args.json.as_deref().unwrap_or("BENCH_batch.json");
+    fbcnn_bench::write_record("throughput", &record, path);
 }

@@ -19,24 +19,10 @@
 use fast_bcnn::experiments::ExpConfig;
 
 pub mod baseline;
-mod batch_report;
-mod chaos_report;
-mod serve_report;
-mod slo_report;
-mod supervise_report;
-mod swap_report;
+pub mod record;
 pub mod trace_lint;
 
-pub use batch_report::{BatchBenchReport, BatchPoint};
-pub use chaos_report::{ChaosBenchReport, ChaosRound, CHAOS_SCHEMA};
-pub use serve_report::{ServeBenchReport, ServeQuantileCell, SERVE_SCHEMA};
-pub use slo_report::{
-    SloBenchReport, SloChaosCell, SloClassCell, SloQuantileCell, SloWindow, SLO_SCHEMA,
-};
-pub use supervise_report::{
-    SuperviseBenchReport, SuperviseShardCell, SuperviseTransitionCell, SUPERVISE_SCHEMA,
-};
-pub use swap_report::{SwapBenchReport, SwapBenchRound, SwapVersionCell, SWAP_SCHEMA};
+pub use record::BenchRecord;
 
 /// Command-line options shared by every harness binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,6 +129,88 @@ pub fn from_arg_list(args: &[String]) -> Result<HarnessArgs, String> {
     })
 }
 
+/// Command-line options of the soak harnesses that build their own
+/// campaign config (`loadgen`, `supervise`): `[--quick] [--seed <N>]
+/// [--json <path>] [--trace-out <path>] [--metrics-out <path>]` plus the
+/// harness's own valued flags.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SoakArgs {
+    /// Whether `--quick` (the CI smoke campaign) was given.
+    pub quick: bool,
+    /// Campaign seed (default 11).
+    pub seed: u64,
+    /// Optional JSON output path.
+    pub json: Option<String>,
+    /// Optional JSONL telemetry trace output path.
+    pub trace_out: Option<String>,
+    /// Optional Prometheus-style metrics output path.
+    pub metrics_out: Option<String>,
+    /// Raw values of the harness's own flags, keyed by flag.
+    pub extra: std::collections::BTreeMap<String, String>,
+}
+
+/// Parses soak-harness flags from a slice, accepting the valued flags
+/// in `extra` on top of the common ones (testable form of
+/// [`parse_soak_args`]).
+///
+/// # Errors
+///
+/// Returns a message for an unknown flag, a flag missing its value, or
+/// a `--seed` that does not parse.
+pub fn soak_args_from(args: &[String], extra: &[&str]) -> Result<SoakArgs, String> {
+    let mut out = SoakArgs {
+        seed: 11,
+        ..SoakArgs::default()
+    };
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        i += 1;
+        if flag == "--quick" {
+            out.quick = true;
+            continue;
+        }
+        if !["--seed", "--json", "--trace-out", "--metrics-out"].contains(&flag)
+            && !extra.contains(&flag)
+        {
+            return Err(format!("unknown flag: {flag}"));
+        }
+        let value = args
+            .get(i)
+            .cloned()
+            .ok_or(format!("{flag} needs a value"))?;
+        i += 1;
+        match flag {
+            "--seed" => {
+                out.seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed needs a number, got `{value}`"))?;
+            }
+            "--json" => out.json = Some(value),
+            "--trace-out" => out.trace_out = Some(value),
+            "--metrics-out" => out.metrics_out = Some(value),
+            _ => {
+                out.extra.insert(flag.to_string(), value);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Prints `error` and the harness's `usage` line, then exits 2.
+pub fn usage_error(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {usage}");
+    std::process::exit(2);
+}
+
+/// [`soak_args_from`] over `std::env::args`, exiting 2 with `usage` on
+/// any error.
+pub fn parse_soak_args(usage: &str, extra: &[&str]) -> SoakArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    soak_args_from(&args, extra).unwrap_or_else(|e| usage_error(&e, usage))
+}
+
 /// Writes the JSON record if `--json` was given.
 pub fn maybe_dump<T: serde::Serialize>(args: &HarnessArgs, value: &T) {
     if let Some(path) = &args.json {
@@ -151,6 +219,46 @@ pub fn maybe_dump<T: serde::Serialize>(args: &HarnessArgs, value: &T) {
         } else {
             eprintln!("wrote {path}");
         }
+    }
+}
+
+/// Validates `record`, then writes it to `path` as pretty JSON (kept
+/// even when invalid, so a failing run leaves its evidence behind).
+/// Exits 1 when the write fails or the record is invalid, reporting the
+/// failure under `tool`'s name.
+pub fn write_record(tool: &str, record: &BenchRecord, path: &str) {
+    let verdict = record.validate();
+    if let Err(e) = fast_bcnn::report::save_json(path, record) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+    if let Err(reason) = verdict {
+        eprintln!("{tool}: FAIL — {reason}");
+        std::process::exit(1);
+    }
+}
+
+/// Exports a harness's private telemetry registry to the
+/// `--trace-out` (JSONL) and `--metrics-out` (Prometheus text) paths
+/// that were given, exiting 1 when a write fails. Soaks record into
+/// their own registry because the global install lock is not
+/// reentrant, so harnesses export from it after the run.
+pub fn export_registry(
+    registry: &fast_bcnn::telemetry::Registry,
+    trace_out: Option<&str>,
+    metrics_out: Option<&str>,
+) {
+    let written = [
+        trace_out.map(|p| (p, registry.write_jsonl(p))),
+        metrics_out.map(|p| (p, registry.write_prometheus(p))),
+    ];
+    for (path, result) in written.into_iter().flatten() {
+        if let Err(e) = result {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("wrote {path}");
     }
 }
 
@@ -217,6 +325,18 @@ mod tests {
     fn unknown_flag_is_an_error() {
         let e = from_arg_list(&strings(&["--bogus"])).unwrap_err();
         assert!(e.contains("--bogus"), "unhelpful message: {e}");
+    }
+
+    #[test]
+    fn soak_flags_parse_with_harness_extras() {
+        let a = soak_args_from(&strings(&["--quick", "--mode", "open"]), &["--mode"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.seed, 11);
+        assert_eq!(a.extra.get("--mode").map(String::as_str), Some("open"));
+        assert!(soak_args_from(&strings(&["--mode", "open"]), &[]).is_err());
+        assert!(soak_args_from(&strings(&["--seed"]), &[]).is_err());
+        assert!(soak_args_from(&strings(&["--seed", "x"]), &[]).is_err());
+        assert!(soak_args_from(&strings(&["--t", "4"]), &[]).is_err());
     }
 
     #[test]

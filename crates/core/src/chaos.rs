@@ -30,6 +30,7 @@ use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::batch::{BatchConfig, BatchEngine, BatchRequest};
 use crate::engine::{synth_input, DegradedMode, Engine, EngineConfig};
 use crate::faults::{FaultInjector, ThresholdFault};
+use crate::ledger::Ledger;
 use crate::registry::{ModelRegistry, RegistryConfig, RegistryReport, VersionCounters};
 use crate::resilience::{
     error_reason_name, BreakerConfig, CircuitBreaker, NoJitter, ResilienceConfig, ResilienceTotals,
@@ -222,49 +223,59 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// Cross-checks the telemetry counter snapshot against the aggregate
-    /// totals — the "counters reconcile exactly" half of the soak's
-    /// acceptance criteria (the per-round outcome/total reconciliation is
-    /// in `round_reconcile_errors`).
+    /// The telemetry counter snapshot against the aggregate totals — the
+    /// "counters reconcile exactly" half of the soak's acceptance
+    /// criteria — plus the per-round outcome/total reconciliations (each
+    /// drifted round is one entry of `round_reconcile_errors`).
+    pub fn ledger(&self) -> Ledger {
+        let (ok, failed) = (self.ok_total as u64, self.failed_total as u64);
+        let mut ledger = Ledger::from([
+            (
+                "failed round ledgers",
+                self.round_reconcile_errors.len() as u64,
+                0,
+            ),
+            (
+                "typed losses vs failed",
+                self.loss_reasons.values().sum(),
+                failed,
+            ),
+            (
+                "ok + failed vs offered",
+                ok + failed,
+                self.requests_total as u64,
+            ),
+        ]);
+        let t = &self.totals;
+        for (name, want) in [
+            ("shed_requests", t.shed as u64),
+            ("retry_attempts", t.retries),
+            ("retry_successes", t.retry_successes),
+            ("retry_exhausted", t.retry_exhausted),
+            ("breaker_forced_exact", t.forced_exact),
+            ("breaker_probes_issued", t.probes),
+            ("breaker_transitions", self.transitions.len() as u64),
+            ("deadline_expired", t.expired as u64),
+        ] {
+            let got = self.counters.get(name).copied().unwrap_or(0);
+            ledger.push(format!("counter {name} vs totals"), got, want);
+        }
+        ledger
+    }
+
+    /// Checks [`ChaosReport::ledger`].
     ///
     /// # Errors
     ///
-    /// Returns the first mismatching quantity as a message.
+    /// Names the first drifted row, plus the first entry of
+    /// `round_reconcile_errors` when there is one.
     pub fn reconcile(&self) -> Result<(), String> {
-        if let Some(e) = self.round_reconcile_errors.first() {
-            return Err(format!("round reconcile failed: {e}"));
-        }
-        let get = |name: &str| self.counters.get(name).copied().unwrap_or(0);
-        let checks = [
-            ("shed_requests", self.totals.shed as u64),
-            ("retry_attempts", self.totals.retries),
-            ("retry_successes", self.totals.retry_successes),
-            ("retry_exhausted", self.totals.retry_exhausted),
-            ("breaker_forced_exact", self.totals.forced_exact),
-            ("breaker_probes_issued", self.totals.probes),
-            ("breaker_transitions", self.transitions.len() as u64),
-            ("deadline_expired", self.totals.expired as u64),
-        ];
-        for (name, want) in checks {
-            let got = get(name);
-            if got != want {
-                return Err(format!("counter {name} = {got}, totals say {want}"));
-            }
-        }
-        let losses: u64 = self.loss_reasons.values().sum();
-        if losses != self.failed_total as u64 {
-            return Err(format!(
-                "loss_reasons sum to {losses}, failed_total is {}",
-                self.failed_total
-            ));
-        }
-        if self.ok_total + self.failed_total != self.requests_total {
-            return Err(format!(
-                "ok {} + failed {} != offered {}",
-                self.ok_total, self.failed_total, self.requests_total
-            ));
-        }
-        Ok(())
+        self.ledger()
+            .check()
+            .map_err(|e| match self.round_reconcile_errors.first() {
+                Some(first) => format!("{e}; first: {first}"),
+                None => e,
+            })
     }
 }
 
@@ -648,42 +659,34 @@ pub struct SwapChaosReport {
 }
 
 impl SwapChaosReport {
-    /// Cross-checks the whole campaign: per-round outcome folds, the
-    /// registry accounting, the telemetry counters and the bit-identity
-    /// sweep must all agree exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first mismatching quantity as a message.
-    pub fn reconcile(&self) -> Result<(), String> {
-        if let Some(e) = self.round_reconcile_errors.first() {
-            return Err(e.clone());
-        }
-        if self.ok_total + self.failed_total != self.requests_total {
-            return Err(format!(
-                "ok {} + failed {} != offered {}",
-                self.ok_total, self.failed_total, self.requests_total
-            ));
-        }
-        let accounted: u64 = self.version_requests.values().map(|c| c.requests).sum();
-        if accounted != self.requests_total as u64 {
-            return Err(format!(
-                "version accounting holds {accounted} requests, campaign offered {}",
-                self.requests_total
-            ));
-        }
+    /// The whole campaign's ledger: per-round outcome folds, the registry
+    /// accounting, the telemetry counters and the bit-identity sweep must
+    /// all agree exactly.
+    pub fn ledger(&self) -> Ledger {
+        let (ok, failed) = (self.ok_total as u64, self.failed_total as u64);
+        let offered = self.requests_total as u64;
+        let accounted = self.version_requests.values().map(|c| c.requests).sum();
+        let mut ledger = Ledger::from([
+            (
+                "failed round ledgers",
+                self.round_reconcile_errors.len() as u64,
+                0,
+            ),
+            ("ok + failed vs offered", ok + failed, offered),
+            ("version accounting vs offered", accounted, offered),
+            (
+                "responses diverged from the reference engine",
+                self.mismatched_outputs as u64,
+                0,
+            ),
+        ]);
         for (version, counters) in &self.version_requests {
-            let cell = self
-                .version_request_counters
-                .get(version)
-                .copied()
-                .unwrap_or(0);
-            if cell != counters.requests {
-                return Err(format!(
-                    "version_requests{{version=\"{version}\"}} counter is {cell}, accounting says {}",
-                    counters.requests
-                ));
-            }
+            let cell = self.version_request_counters.get(version);
+            ledger.push(
+                format!("counter version_requests{{version=\"{version}\"}} vs accounting"),
+                cell.copied().unwrap_or(0),
+                counters.requests,
+            );
         }
         for (name, want) in [
             ("swap_deploys", self.deploys),
@@ -691,17 +694,24 @@ impl SwapChaosReport {
             ("rollback_total", self.rollbacks),
         ] {
             let got = self.counters.get(name).copied().unwrap_or(0);
-            if got != want {
-                return Err(format!("counter {name} = {got}, registry says {want}"));
-            }
+            ledger.push(format!("counter {name} vs registry"), got, want);
         }
-        if self.mismatched_outputs > 0 {
-            return Err(format!(
-                "{} of {} compared responses diverged from the reference engine",
-                self.mismatched_outputs, self.compared_outputs
-            ));
-        }
-        Ok(())
+        ledger
+    }
+
+    /// Checks [`SwapChaosReport::ledger`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first drifted row, plus the first entry of
+    /// `round_reconcile_errors` when there is one.
+    pub fn reconcile(&self) -> Result<(), String> {
+        self.ledger()
+            .check()
+            .map_err(|e| match self.round_reconcile_errors.first() {
+                Some(first) => format!("{e}; first: {first}"),
+                None => e,
+            })
     }
 }
 

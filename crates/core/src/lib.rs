@@ -38,6 +38,7 @@ pub mod experiments;
 pub mod faults;
 mod flight;
 pub mod io;
+pub mod ledger;
 mod registry;
 pub mod report;
 mod resilience;
@@ -54,6 +55,7 @@ pub use faults::{ArtifactFault, BitFlip, FaultInjector, LatencySchedule, Thresho
 pub use flight::{
     FlightLog, FlightRecord, FlightRecorder, DEFAULT_FAILED_CAPACITY, DEFAULT_RING_CAPACITY,
 };
+pub use ledger::{Ledger, LedgerRow};
 pub use registry::{
     ModelRegistry, RegistryConfig, RegistryOutcome, RegistryReport, RolloutStatus,
     SupervisorHandle, VersionCounters,

@@ -27,6 +27,7 @@ use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::batch::{BatchConfig, BatchEngine, BatchRequest};
 use crate::engine::{DegradedMode, Engine};
 use crate::error::EngineError;
+use crate::ledger::Ledger;
 use crate::resilience::{
     error_reason_name, BreakerState, CircuitBreaker, Jitter, RequestSampleHook, ResilienceConfig,
     ResilientBatchEngine, ResilientOutcome,
@@ -34,7 +35,7 @@ use crate::resilience::{
 use crate::supervise::{
     mix64, shard_route, OutcomeSignal, RouteDecision, SuperviseConfig, Supervisor,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -215,14 +216,10 @@ pub struct RegistryReport {
 }
 
 impl RegistryReport {
-    /// Checks that the registry's per-version counters moved by exactly
-    /// the fold of this batch's outcomes — the version half of the
-    /// "counters reconcile exactly" criterion.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first mismatching version/quantity as a message.
-    pub fn reconcile(&self) -> Result<(), String> {
+    /// The registry's per-version counter deltas against the fold of
+    /// this batch's outcomes — the version half of the "counters
+    /// reconcile exactly" criterion.
+    pub fn ledger(&self) -> Ledger {
         let mut fold: BTreeMap<u64, VersionCounters> = BTreeMap::new();
         for o in &self.outcomes {
             let c = fold.entry(o.version).or_default();
@@ -236,13 +233,34 @@ impl RegistryReport {
                 c.canary += 1;
             }
         }
-        if fold != self.version_delta {
-            return Err(format!(
-                "version counters moved by {:?}, outcomes fold to {:?}",
-                self.version_delta, fold
-            ));
+        let mut ledger = Ledger::new();
+        let versions: BTreeSet<u64> = fold
+            .keys()
+            .chain(self.version_delta.keys())
+            .copied()
+            .collect();
+        for v in versions {
+            let moved = self.version_delta.get(&v).copied().unwrap_or_default();
+            let folded = fold.get(&v).copied().unwrap_or_default();
+            for (field, got, want) in [
+                ("requests", moved.requests, folded.requests),
+                ("ok", moved.ok, folded.ok),
+                ("failed", moved.failed, folded.failed),
+                ("canary", moved.canary, folded.canary),
+            ] {
+                ledger.push(format!("v{v} {field} vs outcomes"), got, want);
+            }
         }
-        Ok(())
+        ledger
+    }
+
+    /// Checks [`RegistryReport::ledger`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first drifted version row.
+    pub fn reconcile(&self) -> Result<(), String> {
+        self.ledger().check()
     }
 }
 

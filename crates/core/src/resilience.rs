@@ -43,6 +43,7 @@
 use crate::batch::{BatchEngine, BatchOutcome, BatchRequest};
 use crate::engine::{DegradedMode, RobustReport};
 use crate::error::InferenceError;
+use crate::ledger::Ledger;
 use fbcnn_bayes::{CancelToken, Prediction};
 use std::collections::VecDeque;
 use std::fmt;
@@ -659,14 +660,10 @@ pub struct ResilientBatchReport {
 }
 
 impl ResilientBatchReport {
-    /// Checks that the aggregate totals equal a fresh fold over the
-    /// per-request outcomes — the accounting half of the chaos harness's
-    /// "counters reconcile exactly" criterion.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first mismatching quantity as a message.
-    pub fn reconcile(&self) -> Result<(), String> {
+    /// The aggregate totals against a fresh fold over the per-request
+    /// outcomes — the accounting half of the chaos harness's "counters
+    /// reconcile exactly" criterion.
+    pub fn ledger(&self) -> Ledger {
         let mut fold = ResilienceTotals {
             offered: self.outcomes.len(),
             ..ResilienceTotals::default()
@@ -693,28 +690,29 @@ impl ResilientBatchReport {
             }
         }
         let t = &self.totals;
-        for (name, got, want) in [
-            ("offered", t.offered, fold.offered),
-            ("shed", t.shed, fold.shed),
-            ("degraded", t.degraded, fold.degraded),
-            ("expired", t.expired, fold.expired),
-        ] {
-            if got != want {
-                return Err(format!("totals.{name} = {got}, outcomes fold to {want}"));
-            }
-        }
-        for (name, got, want) in [
+        let rows = [
+            ("offered", t.offered as u64, fold.offered as u64),
+            ("shed", t.shed as u64, fold.shed as u64),
+            ("degraded", t.degraded as u64, fold.degraded as u64),
+            ("expired", t.expired as u64, fold.expired as u64),
             ("retries", t.retries, fold.retries),
             ("retry_successes", t.retry_successes, fold.retry_successes),
             ("retry_exhausted", t.retry_exhausted, fold.retry_exhausted),
             ("requeues", t.requeues, fold.requeues),
             ("abandoned", t.abandoned, fold.abandoned),
-        ] {
-            if got != want {
-                return Err(format!("totals.{name} = {got}, outcomes fold to {want}"));
-            }
-        }
-        Ok(())
+        ];
+        Ledger::from(
+            rows.map(|(name, got, want)| (format!("totals.{name} vs outcomes"), got, want)),
+        )
+    }
+
+    /// Checks [`ResilientBatchReport::ledger`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first drifted row.
+    pub fn reconcile(&self) -> Result<(), String> {
+        self.ledger().check()
     }
 
     /// Whether every failed request carries a typed error (always true by

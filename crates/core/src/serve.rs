@@ -38,6 +38,7 @@ use fbcnn_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::io::{IoError, FORMAT_VERSION};
+use crate::ledger::Ledger;
 use crate::{
     error_reason_name, synth_input, BatchRequest, Engine, EngineConfig, ModelArtifact,
     ModelRegistry, NoJitter, RegistryConfig, RegistryOutcome, RequestClass, ResilienceConfig,
@@ -2008,59 +2009,66 @@ pub struct ServeSoakReport {
 }
 
 impl ServeSoakReport {
-    /// Exact three-way reconciliation: load generator ↔ server wire
-    /// accounting ↔ registry version counters. Any drift is a dropped
-    /// or double-counted request.
+    /// Exact three-way ledger: load generator ↔ server wire accounting ↔
+    /// registry version counters. Any drift is a dropped or
+    /// double-counted request.
+    pub fn ledger(&self) -> Ledger {
+        let registry = [
+            self.registry_requests,
+            self.registry_ok,
+            self.registry_failed,
+        ];
+        let aborted = self.loadgen.aborted_workers;
+        wire_ledger(&self.loadgen.totals, &self.server, 0, registry, aborted)
+    }
+
+    /// Checks [`ServeSoakReport::ledger`].
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first mismatched ledger row.
+    /// Names the first drifted row.
     pub fn reconcile(&self) -> Result<(), String> {
-        let lg = &self.loadgen.totals;
-        let sv = &self.server;
-        let checks: [(&str, u64, u64); 9] = [
-            ("offered vs server frames", lg.offered, sv.frames_total()),
-            ("ok", lg.ok, sv.frames_ok),
-            ("failed", lg.failed, sv.frames_failed),
-            ("shed", lg.shed, sv.frames_shed),
-            ("wire errors", lg.wire_error_responses, sv.frames_wire_error),
-            ("unknown class", lg.unknown_class, sv.frames_unknown_class),
-            ("expired", lg.expired, sv.expired),
-            (
-                "registry requests vs served frames",
-                self.registry_requests,
-                sv.frames_ok + sv.frames_failed,
-            ),
-            ("registry ok", self.registry_ok, sv.frames_ok),
-        ];
-        for (what, client, server) in checks {
-            if client != server {
-                return Err(format!("{what} drifted: {client} != {server}"));
-            }
-        }
-        if self.registry_failed != sv.frames_failed {
-            return Err(format!(
-                "registry failed drifted: {} != {}",
-                self.registry_failed, sv.frames_failed
-            ));
-        }
-        if self.loadgen.aborted_workers != 0 {
-            return Err(format!(
-                "{} load-generator workers aborted",
-                self.loadgen.aborted_workers
-            ));
-        }
-        if lg.transport_errors != 0 {
-            return Err(format!("{} transport errors", lg.transport_errors));
-        }
-        if lg.bit_mismatched != 0 {
-            return Err(format!(
-                "{} of {} bit-identity spot checks mismatched",
-                lg.bit_mismatched, lg.bit_checked
-            ));
-        }
-        Ok(())
+        self.ledger().check()
     }
+}
+
+/// The loadgen ↔ server ↔ registry rows both soaks reconcile; the
+/// server also counts the `adversarial` wire errors a hostile-client
+/// battery drew on top of the load generator's.
+fn wire_ledger(
+    lg: &LoadgenTotals,
+    sv: &ServeTotals,
+    adversarial: u64,
+    [requests, ok, failed]: [u64; 3],
+    aborted_workers: u64,
+) -> Ledger {
+    Ledger::from([
+        (
+            "offered vs server frames",
+            lg.offered + adversarial,
+            sv.frames_total(),
+        ),
+        ("ok", lg.ok, sv.frames_ok),
+        ("failed", lg.failed, sv.frames_failed),
+        ("shed", lg.shed, sv.frames_shed),
+        (
+            "wire errors",
+            lg.wire_error_responses + adversarial,
+            sv.frames_wire_error,
+        ),
+        ("unknown class", lg.unknown_class, sv.frames_unknown_class),
+        ("expired", lg.expired, sv.expired),
+        (
+            "registry requests vs served frames",
+            requests,
+            sv.frames_ok + sv.frames_failed,
+        ),
+        ("registry ok", ok, sv.frames_ok),
+        ("registry failed", failed, sv.frames_failed),
+        ("aborted load-generator workers", aborted_workers, 0),
+        ("transport errors", lg.transport_errors, 0),
+        ("bit-identity spot checks mismatched", lg.bit_mismatched, 0),
+    ])
 }
 
 fn sum_delta(
@@ -2364,47 +2372,48 @@ pub struct SuperviseSoakReport {
 }
 
 impl SuperviseSoakReport {
-    /// Exact three-way reconciliation of the supervision soak: load
-    /// generator ↔ server wire accounting ↔ registry version counters ↔
-    /// per-shard supervision ledger, plus the self-healing walk itself —
-    /// every poisoned shard quarantined, rebuilt and re-admitted, zero
-    /// lost requests, and the healthy-shard responses bit-identical to
-    /// the pristine reference engine.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first failed ledger row or
-    /// healing invariant.
-    pub fn reconcile(&self) -> Result<(), String> {
-        let lg = &self.loadgen;
-        let sv = &self.server;
-        let adv = &self.adversarial;
+    /// Exact three-way ledger of the supervision soak: load generator ↔
+    /// server wire accounting ↔ registry version counters ↔ per-shard
+    /// supervision ledger, plus the self-healing walk itself — every
+    /// poisoned shard quarantined, rebuilt and re-admitted, zero lost
+    /// requests, and the healthy-shard responses bit-identical to the
+    /// pristine reference engine.
+    pub fn ledger(&self) -> Ledger {
+        let (lg, sv, adv) = (&self.loadgen, &self.server, &self.adversarial);
+        let registry = [
+            self.registry_requests,
+            self.registry_ok,
+            self.registry_failed,
+        ];
+        let mut ledger = wire_ledger(
+            lg,
+            sv,
+            adv.expected_wire_errors,
+            registry,
+            self.aborted_workers,
+        );
         let fold = |f: fn(&crate::supervise::ShardLedger) -> u64| -> u64 {
             self.ledger.iter().map(f).sum()
         };
-        let checks: [(&str, u64, u64); 17] = [
-            (
-                "offered + adversarial vs server frames",
-                lg.offered + adv.expected_wire_errors,
-                sv.frames_total(),
-            ),
-            ("ok", lg.ok, sv.frames_ok),
-            ("failed", lg.failed, sv.frames_failed),
-            ("shed", lg.shed, sv.frames_shed),
-            (
-                "wire errors",
-                lg.wire_error_responses + adv.expected_wire_errors,
-                sv.frames_wire_error,
-            ),
-            ("unknown class", lg.unknown_class, sv.frames_unknown_class),
-            ("expired", lg.expired, sv.expired),
-            (
-                "registry requests vs served frames",
-                self.registry_requests,
-                sv.frames_ok + sv.frames_failed,
-            ),
-            ("registry ok", self.registry_ok, sv.frames_ok),
-            ("registry failed", self.registry_failed, sv.frames_failed),
+        let shard = |i: usize| self.ledger.get(i).copied().unwrap_or_default();
+        let poisoned = self.poisoned.len() as u64;
+        let walked = self
+            .full_walks
+            .iter()
+            .take(self.poisoned.len())
+            .filter(|&&w| w)
+            .count();
+        let quarantined = self
+            .poisoned
+            .iter()
+            .filter(|&&s| shard(s).quarantines > 0)
+            .count();
+        let healthy = self
+            .health
+            .iter()
+            .filter(|h| h.as_str() == "healthy")
+            .count();
+        ledger.extend([
             (
                 "supervision ledger served vs registry requests",
                 fold(|s| s.served),
@@ -2440,88 +2449,60 @@ impl SuperviseSoakReport {
                 adv.rejects_received,
                 self.adversarial_expected_rejects,
             ),
-        ];
-        for (what, left, right) in checks {
-            if left != right {
-                return Err(format!("{what} drifted: {left} != {right}"));
-            }
-        }
-        if sv.connections_rejected != 0 {
-            return Err(format!("{} connections rejected", sv.connections_rejected));
-        }
-        if self.aborted_workers != 0 {
-            return Err(format!(
-                "{} load-generator workers aborted",
-                self.aborted_workers
-            ));
-        }
-        if lg.transport_errors != 0 {
-            return Err(format!("{} transport errors", lg.transport_errors));
-        }
-        if adv.transport_errors != 0 {
-            return Err(format!(
-                "{} adversarial transport errors",
-                adv.transport_errors
-            ));
-        }
-        if lg.bit_checked == 0 {
-            return Err("no bit-identity spot checks ran".to_string());
-        }
-        if lg.bit_mismatched != 0 {
-            return Err(format!(
-                "{} of {} bit-identity spot checks mismatched",
-                lg.bit_mismatched, lg.bit_checked
-            ));
-        }
-        for (i, &shard) in self.poisoned.iter().enumerate() {
-            if !self.full_walks.get(i).copied().unwrap_or(false) {
-                return Err(format!(
-                    "poisoned shard {shard} never completed the \
-                     quarantine → rebuild → re-admission walk"
-                ));
-            }
-            let ledger = self
-                .ledger
-                .get(shard)
-                .ok_or_else(|| format!("no ledger row for shard {shard}"))?;
-            if ledger.quarantines == 0 {
-                return Err(format!("poisoned shard {shard} was never quarantined"));
-            }
-        }
-        if let Some(h) = self.health.iter().find(|h| h.as_str() != "healthy") {
-            return Err(format!("a shard ended the campaign {h}"));
-        }
-        if fold(|s| s.failovers_out) == 0 {
-            return Err("no requests ever failed over".to_string());
-        }
-        let hang = self
-            .ledger
-            .get(SUPERVISE_HANG_SHARD)
-            .ok_or("no hang-shard ledger row")?;
-        if hang.abandoned == 0 {
-            return Err("the hang poison never produced a watchdog abandonment".to_string());
-        }
-        let panicked = self
-            .ledger
-            .get(SUPERVISE_PANIC_SHARD)
-            .ok_or("no panic-shard ledger row")?;
-        if panicked.failed == 0 {
-            return Err("the panic poison never produced a typed failure".to_string());
-        }
-        if self.rebuild_attempts < self.poisoned.len() as u64 {
-            return Err(format!(
-                "only {} rebuilds attempted for {} poisoned shards",
+            ("connections rejected", sv.connections_rejected, 0),
+            ("adversarial transport errors", adv.transport_errors, 0),
+            (
+                "bit-identity spot checks ran",
+                u64::from(lg.bit_checked > 0),
+                1,
+            ),
+            ("poisoned shards quarantined", quarantined as u64, poisoned),
+            (
+                "poisoned shards that completed the healing walk",
+                walked as u64,
+                poisoned,
+            ),
+            (
+                "healthy shards at campaign end",
+                healthy as u64,
+                self.health.len() as u64,
+            ),
+            (
+                "requests failed over",
+                u64::from(fold(|s| s.failovers_out) > 0),
+                1,
+            ),
+            (
+                "the hang poison produced a watchdog abandonment",
+                u64::from(shard(SUPERVISE_HANG_SHARD).abandoned > 0),
+                1,
+            ),
+            (
+                "the panic poison produced a typed failure",
+                u64::from(shard(SUPERVISE_PANIC_SHARD).failed > 0),
+                1,
+            ),
+            (
+                "a rebuild attempted per poisoned shard",
+                u64::from(self.rebuild_attempts >= poisoned),
+                1,
+            ),
+            (
+                "rebuilds attempted vs re-admitted + rejected",
                 self.rebuild_attempts,
-                self.poisoned.len()
-            ));
-        }
-        if self.rebuild_attempts != self.rebuild_successes + self.rebuild_probe_rejects {
-            return Err(format!(
-                "unresolved rebuilds: {} attempted, {} re-admitted + {} rejected",
-                self.rebuild_attempts, self.rebuild_successes, self.rebuild_probe_rejects
-            ));
-        }
-        Ok(())
+                self.rebuild_successes + self.rebuild_probe_rejects,
+            ),
+        ]);
+        ledger
+    }
+
+    /// Checks [`SuperviseSoakReport::ledger`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first drifted row.
+    pub fn reconcile(&self) -> Result<(), String> {
+        self.ledger().check()
     }
 }
 

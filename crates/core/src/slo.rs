@@ -25,6 +25,7 @@
 use crate::chaos::{run_chaos_into, ChaosConfig, SilencedChaosPanics};
 use crate::engine::EngineConfig;
 use crate::io;
+use crate::ledger::Ledger;
 use crate::{
     ArtifactError, BatchConfig, BatchRequest, Engine, FlightRecorder, ModelArtifact, ModelRegistry,
     NoJitter, RegistryConfig, RegistryOutcome, ResilienceConfig,
@@ -269,111 +270,139 @@ impl SloSoakReport {
             .unwrap_or((0, 0))
     }
 
-    /// Cross-checks every exact-accounting claim of the soak.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failed invariant as a message.
-    pub fn reconcile(&self) -> Result<(), String> {
-        if let Some(e) = self.reconcile_errors.first() {
-            return Err(format!("soak invariant failed: {e}"));
-        }
-        if self.evicted_windows != 0 {
-            return Err(format!(
-                "{} windows evicted; the soak span must be fully retained",
-                self.evicted_windows
-            ));
-        }
-        // Windowed soak-class totals == the registry's own outcome fold.
+    /// Every exact-accounting claim of the soak: the windowed view
+    /// against the registry fold, the chaos report and the total
+    /// registry; the quantile bound; the health walk; and the postmortem
+    /// replay.
+    pub fn ledger(&self) -> Ledger {
         let (ok, failed) = self.windowed_class(SOAK_CLASS);
-        if ok != self.registry_ok || failed != self.registry_failed {
-            return Err(format!(
-                "windowed soak class saw {ok} ok / {failed} failed, registry fold says {} / {}",
-                self.registry_ok, self.registry_failed
-            ));
-        }
-        if self.registry_ok + self.registry_failed != self.registry_requests {
-            return Err(format!(
-                "registry ok {} + failed {} != offered {}",
-                self.registry_ok, self.registry_failed, self.registry_requests
-            ));
-        }
-        // Windowed chaos-class totals == the chaos report's accounting.
-        if let Some(chaos) = &self.chaos {
-            let (ok, failed) = self.windowed_class(CHAOS_CLASS);
-            if ok != chaos.ok || failed != chaos.failed {
-                return Err(format!(
-                    "windowed chaos class saw {ok} ok / {failed} failed, ChaosReport says {} / {}",
-                    chaos.ok, chaos.failed
-                ));
-            }
-            if chaos.ok + chaos.failed != chaos.requests {
-                return Err(format!(
-                    "chaos ok {} + failed {} != offered {}",
-                    chaos.ok, chaos.failed, chaos.requests
-                ));
-            }
-        }
-        // The windowed view and the total registry must agree cell by
-        // cell (nothing was evicted, so the ring *is* the total).
-        for w in &self.windowed {
-            let t = self
-                .totals
-                .iter()
-                .find(|t| t.class == w.class)
-                .ok_or_else(|| format!("class {} missing from the total registry", w.class))?;
-            if w.ok != t.ok || w.failed != t.failed {
-                return Err(format!(
-                    "class {}: windowed {}/{} != total registry {}/{}",
-                    w.class, w.ok, w.failed, t.ok, t.failed
-                ));
-            }
-        }
-        if self.quantiles.is_empty() {
-            return Err("no quantile checks were produced".to_string());
-        }
-        for qc in &self.quantiles {
-            if !qc.within_bound {
-                return Err(format!(
-                    "{} estimate {:.0}ns is outside the x{} bucket bound of exact {}ns",
-                    qc.name, qc.estimate_ns, QUANTILE_WIDTH_RATIO, qc.exact_ns
-                ));
-            }
-        }
+        let (pm_ids, expected_ids) = (&self.postmortem_failed_ids, &self.expected_failed_ids);
+        let expected = expected_ids.len() as u64;
         // The health walk: calm Ok, the burst pages, the budget decays
         // through Warning, and the soak ends healthy.
-        if self.peak_status() != HealthStatus::Critical {
-            return Err("the fault burst never drove health to Critical".to_string());
-        }
-        if self.final_status() != HealthStatus::Ok {
-            return Err(format!(
-                "the soak ended {} instead of recovering to Ok",
-                self.final_status().name()
-            ));
-        }
         let last_critical = self
             .verdicts
             .iter()
             .rposition(|v| v.status == HealthStatus::Critical)
             .unwrap_or(0);
-        if !self.verdicts[last_critical..]
+        let warned = self.verdicts[last_critical..]
             .iter()
-            .any(|v| v.status == HealthStatus::Warning)
-        {
-            return Err("no Warning window between Critical and recovery".to_string());
-        }
+            .any(|v| v.status == HealthStatus::Warning);
+        let out_of_bound = self.quantiles.iter().filter(|q| !q.within_bound).count();
         // The postmortem dump replays exactly the failed requests the
         // registry had served when the canary breaker tripped.
-        if self.postmortem_path.is_none() {
-            return Err("no postmortem dump was emitted".to_string());
+        let in_order = pm_ids
+            .iter()
+            .zip(expected_ids)
+            .filter(|(a, b)| a == b)
+            .count();
+        let mut ledger = Ledger::from([
+            (
+                "failed mid-run invariants",
+                self.reconcile_errors.len() as u64,
+                0,
+            ),
+            ("evicted windows", self.evicted_windows, 0),
+            ("windowed soak ok vs registry ok", ok, self.registry_ok),
+            (
+                "windowed soak failed vs registry failed",
+                failed,
+                self.registry_failed,
+            ),
+            (
+                "registry ok + failed vs offered",
+                self.registry_ok + self.registry_failed,
+                self.registry_requests,
+            ),
+            (
+                "quantile checks produced",
+                u64::from(!self.quantiles.is_empty()),
+                1,
+            ),
+            (
+                "quantile estimates outside the bucket bound",
+                out_of_bound as u64,
+                0,
+            ),
+            (
+                "the health walk reached critical",
+                u64::from(self.peak_status() == HealthStatus::Critical),
+                1,
+            ),
+            (
+                "a warning window followed the last critical",
+                u64::from(warned),
+                1,
+            ),
+            (
+                "the health walk ended ok",
+                u64::from(self.final_status() == HealthStatus::Ok),
+                1,
+            ),
+            (
+                "postmortem dump emitted",
+                u64::from(self.postmortem_path.is_some()),
+                1,
+            ),
+            (
+                "postmortem failed ids vs the soak's",
+                pm_ids.len() as u64,
+                expected,
+            ),
+            (
+                "postmortem failed ids in recorded order",
+                in_order as u64,
+                expected,
+            ),
+        ]);
+        if let Some(chaos) = &self.chaos {
+            let (ok, failed) = self.windowed_class(CHAOS_CLASS);
+            ledger.push("windowed chaos ok vs chaos report", ok, chaos.ok);
+            ledger.push(
+                "windowed chaos failed vs chaos report",
+                failed,
+                chaos.failed,
+            );
+            ledger.push(
+                "chaos ok + failed vs offered",
+                chaos.ok + chaos.failed,
+                chaos.requests,
+            );
         }
-        if self.postmortem_failed_ids != self.expected_failed_ids {
-            return Err(format!(
-                "postmortem replays failed ids {:?}, the soak recorded {:?}",
-                self.postmortem_failed_ids, self.expected_failed_ids
-            ));
+        // The windowed view and the total registry must agree cell by
+        // cell (nothing was evicted, so the ring *is* the total).
+        for w in &self.windowed {
+            let total = self.totals.iter().find(|t| t.class == w.class);
+            let (ok, failed) = total.map_or((0, 0), |t| (t.ok, t.failed));
+            let class = &w.class;
+            ledger.push(
+                format!("class {class} in the total registry"),
+                u64::from(total.is_some()),
+                1,
+            );
+            ledger.push(format!("class {class} windowed ok vs total"), w.ok, ok);
+            ledger.push(
+                format!("class {class} windowed failed vs total"),
+                w.failed,
+                failed,
+            );
         }
-        Ok(())
+        ledger
+    }
+
+    /// Checks [`SloSoakReport::ledger`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first drifted row, plus the first entry of
+    /// `reconcile_errors` when there is one.
+    pub fn reconcile(&self) -> Result<(), String> {
+        self.ledger()
+            .check()
+            .map_err(|e| match self.reconcile_errors.first() {
+                Some(first) => format!("{e}; first: {first}"),
+                None => e,
+            })
     }
 }
 
@@ -420,7 +449,7 @@ fn total_class_counts(total: &Registry, class: &str) -> (u64, u64) {
 
 /// Exact quantile of a sorted population, with the same rank rule as
 /// [`fbcnn_telemetry::histogram_quantile`].
-fn exact_quantile(sorted: &[u64], q: f64) -> Option<u64> {
+pub fn exact_quantile(sorted: &[u64], q: f64) -> Option<u64> {
     if sorted.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }

@@ -37,6 +37,7 @@
 //! semantics.
 
 use crate::error::EngineError;
+use crate::ledger::Ledger;
 use fbcnn_telemetry::Clock;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -379,14 +380,9 @@ impl SuperviseSnapshot {
     ///
     /// A description of the drifted fold.
     pub fn reconcile_failovers(&self) -> Result<(), String> {
-        let out: u64 = self.shards.iter().map(|s| s.failovers_out).sum();
-        let inn: u64 = self.shards.iter().map(|s| s.failovers_in).sum();
-        if out != inn {
-            return Err(format!(
-                "failover folds drifted: {out} routed out, {inn} absorbed"
-            ));
-        }
-        Ok(())
+        let fold = |f: fn(&ShardLedger) -> u64| self.shards.iter().map(f).sum();
+        let (out, absorbed) = (fold(|s| s.failovers_out), fold(|s| s.failovers_in));
+        Ledger::from([("failovers routed out vs absorbed", out, absorbed)]).check()
     }
 }
 

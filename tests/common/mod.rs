@@ -1,6 +1,9 @@
 //! Helpers shared by the soak/acceptance test suites (chaos, slo,
 //! serve). Each integration-test binary compiles this module
-//! separately, so any one binary uses only a subset of it.
+//! separately, so any one binary uses only a subset of it. The soaks'
+//! volume, coverage and wall-clock floors are not here: they live once,
+//! in `fbcnn_bench::record::SCHEMAS`, and the suites apply them by
+//! validating the same bench record the harness binaries write.
 #![allow(dead_code)]
 
 use fast_bcnn::chaos::ChaosReport;
@@ -52,68 +55,6 @@ pub fn is_typed_reason(reason: &str) -> bool {
 /// Returns whether `reason` belongs to the serve tier's wire vocabulary.
 pub fn is_wire_reason(reason: &str) -> bool {
     WIRE_REASONS.contains(&reason)
-}
-
-/// Acceptance floors shared by the soak suites: a minimum offered-load
-/// volume, a minimum distinct-class coverage, and a wall-clock bound CI
-/// enforces with an outer timeout. One definition, referenced by every
-/// suite, so the floors cannot silently diverge between soaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoakFloors {
-    /// Minimum requests the campaign must offer.
-    pub min_requests: u64,
-    /// Minimum distinct classes (fault classes for chaos, SLO/latency
-    /// classes for serve) the campaign must exercise.
-    pub min_classes: usize,
-    /// Wall-clock bound in seconds the whole soak must fit under.
-    pub max_wall_secs: u64,
-}
-
-/// The chaos-soak floors from `tests/resilience_chaos.rs`: ≥ 200
-/// requests over ≥ 5 fault classes, bounded under a minute.
-pub const CHAOS_FLOORS: SoakFloors = SoakFloors {
-    min_requests: 200,
-    min_classes: 5,
-    max_wall_secs: 60,
-};
-
-/// The serve-soak floors: the same request volume as the chaos soak,
-/// over ≥ 4 latency classes (the three healthy SLO tiers plus the
-/// injected `malformed` stream), bounded under a minute.
-pub const SERVE_FLOORS: SoakFloors = SoakFloors {
-    min_requests: 200,
-    min_classes: 4,
-    max_wall_secs: 60,
-};
-
-impl SoakFloors {
-    /// Asserts the volume/coverage/wall-clock floors, labelled `tag`.
-    pub fn assert_met(&self, tag: &str, requests: u64, classes: usize, elapsed_ns: u64) {
-        assert!(
-            requests >= self.min_requests,
-            "{tag}: offered only {requests} requests (floor {})",
-            self.min_requests
-        );
-        assert!(
-            classes >= self.min_classes,
-            "{tag}: exercised only {classes} classes (floor {})",
-            self.min_classes
-        );
-        let wall = std::time::Duration::from_nanos(elapsed_ns);
-        assert!(
-            wall <= std::time::Duration::from_secs(self.max_wall_secs),
-            "{tag}: soak ran {wall:?}, past the {}s bound",
-            self.max_wall_secs
-        );
-    }
-}
-
-/// Asserts an exact ledger: each row is `(what, left, right)` and any
-/// drift is a dropped or double-counted request.
-pub fn assert_ledger_exact(tag: &str, rows: &[(&str, u64, u64)]) {
-    for (what, left, right) in rows {
-        assert_eq!(left, right, "{tag}: {what} drifted");
-    }
 }
 
 /// The chaos-soak robustness contract: per-round and total accounting

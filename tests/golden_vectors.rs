@@ -248,6 +248,10 @@ fn golden_single_request_paths_are_bit_stable() {
 
 #[test]
 fn golden_batch_results_are_bit_stable_and_match_sequential() {
+    // Hold a private registry for the whole test: the install lock then
+    // serializes it against the single-request test, whose per-layer
+    // skip counts would otherwise pick up this test's batch traffic.
+    let _guard = fast_bcnn::telemetry::install(Arc::new(fast_bcnn::telemetry::Registry::new()));
     let fixture: GoldenBatchFixture = load("batch_lenet_t6.json");
     assert_eq!(fixture.config, GoldenConfig::pinned(), "regenerate");
     let actual = compute_batch_fixture(&fixture.config);

@@ -14,26 +14,24 @@
 
 mod common;
 
-use common::{assert_chaos_contract, golden_dir, CHAOS_FLOORS};
+use common::{assert_chaos_contract, golden_dir};
 use fast_bcnn::chaos::{run_chaos, ChaosConfig};
+use fbcnn_bench::BenchRecord;
 use serde::{Deserialize, Serialize};
 
-/// The headline acceptance soak: the [`CHAOS_FLOORS`] volume/coverage
-/// floors with deadline pressure, every loss typed, zero aborts, and the
-/// breaker/shed/retry/deadline counters reconciling exactly. CI runs
-/// this under an outer timeout so a hang fails instead of stalling.
+/// The headline acceptance soak: the `chaos-v2` volume, coverage and
+/// wall-clock floors with deadline pressure, every loss typed, zero
+/// aborts, and the breaker/shed/retry/deadline counters reconciling
+/// exactly. CI runs this under an outer timeout so a hang fails instead
+/// of stalling.
 #[test]
 fn full_soak_meets_the_acceptance_floors() {
-    let started = std::time::Instant::now();
     let cfg = ChaosConfig::full(5);
     let report = run_chaos(&cfg);
     assert_chaos_contract(&report, "full soak");
-    CHAOS_FLOORS.assert_met(
-        "full soak",
-        report.requests_total as u64,
-        report.classes.len(),
-        started.elapsed().as_nanos() as u64,
-    );
+    BenchRecord::chaos(&report, false)
+        .validate()
+        .unwrap_or_else(|e| panic!("full soak: chaos-v2 acceptance failed: {e}"));
     assert!(
         report.totals.expired > 0,
         "no deadline pressure was applied"

@@ -4,15 +4,15 @@
 //! sheds, expiring deadlines and malformed frames, and every ledger —
 //! load generator, server wire accounting, registry version counters —
 //! must reconcile exactly, with zero worker abandonment and zero
-//! transport loss. The same run must pass the `BENCH_serve.json`
-//! acceptance rules via [`fbcnn_bench::ServeBenchReport`], so the test
-//! and the benchmark harness cannot drift apart.
+//! transport loss. The same run must pass the `serve-v2` record's
+//! validation — the floors `loadgen` and `bench_check` apply — so the
+//! test and the benchmark harness cannot drift apart.
 
 mod common;
 
-use common::{assert_ledger_exact, is_typed_reason, is_wire_reason, SERVE_FLOORS};
+use common::{is_typed_reason, is_wire_reason};
 use fast_bcnn::serve::{run_serve_soak, ServeSoakConfig};
-use fbcnn_bench::ServeBenchReport;
+use fbcnn_bench::BenchRecord;
 
 #[test]
 fn full_serve_soak_reconciles_exactly_and_meets_the_floors() {
@@ -34,23 +34,6 @@ fn full_serve_soak_reconciles_exactly_and_meets_the_floors() {
     report
         .reconcile()
         .unwrap_or_else(|e| panic!("ledgers did not reconcile: {e}"));
-    assert_ledger_exact(
-        "serve soak",
-        &[
-            ("offered vs server frames", lg.offered, sv.frames_total()),
-            (
-                "registry requests vs served frames",
-                report.registry_requests,
-                sv.frames_ok + sv.frames_failed,
-            ),
-            ("registry ok vs server ok", report.registry_ok, sv.frames_ok),
-            (
-                "registry failed vs server failed",
-                report.registry_failed,
-                sv.frames_failed,
-            ),
-        ],
-    );
 
     // Nothing was abandoned on either side of the wire.
     assert_eq!(
@@ -59,15 +42,6 @@ fn full_serve_soak_reconciles_exactly_and_meets_the_floors() {
     );
     assert_eq!(lg.transport_errors, 0, "responses were lost in transit");
     assert_eq!(sv.connections_rejected, 0, "the accept loop shed a worker");
-
-    // Volume, class coverage and wall-clock floors (shared with the
-    // chaos soak via `tests/common`).
-    SERVE_FLOORS.assert_met(
-        "serve soak",
-        lg.offered,
-        report.loadgen.latencies_ns.len(),
-        report.elapsed_ns,
-    );
 
     // Every deliberate-pressure tier of the mix actually engaged.
     assert!(lg.shed > 0, "the always-shed class never shed");
@@ -99,15 +73,18 @@ fn full_serve_soak_reconciles_exactly_and_meets_the_floors() {
     assert!(is_typed_reason("expired") && !is_wire_reason("expired"));
     assert!(is_wire_reason("wire_stale_version") && !is_typed_reason("wire_stale_version"));
 
-    // The same run must satisfy the benchmark harness's acceptance rules
-    // exactly as `loadgen --json` + `bench_check` would apply them.
-    let cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let bench = ServeBenchReport::from_soak(&report, false, cpus);
-    bench
+    // Volume, class coverage and wall-clock floors, and every other
+    // acceptance rule, exactly as `loadgen --json` + `bench_check` apply
+    // them.
+    BenchRecord::serve(&report, false, cpus())
         .validate()
-        .unwrap_or_else(|e| panic!("BENCH_serve acceptance failed: {e}"));
+        .unwrap_or_else(|e| panic!("serve-v2 acceptance failed: {e}"));
+}
+
+fn cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// The quick (CI smoke) configuration must hold the identical contract —
@@ -125,11 +102,7 @@ fn quick_serve_soak_holds_the_same_contract() {
     );
     assert_eq!(report.loadgen.aborted_workers, 0);
     assert_eq!(lg.bit_mismatched, 0);
-    let cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let bench = ServeBenchReport::from_soak(&report, true, cpus);
-    bench
+    BenchRecord::serve(&report, true, cpus())
         .validate()
-        .unwrap_or_else(|e| panic!("quick BENCH_serve acceptance failed: {e}"));
+        .unwrap_or_else(|e| panic!("quick serve-v2 acceptance failed: {e}"));
 }
