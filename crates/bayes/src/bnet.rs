@@ -1,6 +1,6 @@
 use crate::mask::DropoutMasks;
 use crate::{BayesError, Brng};
-use fbcnn_nn::{ActivationGuard, Network, NodeId, Workspace};
+use fbcnn_nn::{ActivationGuard, Network, NnError, NodeId, Workspace};
 use fbcnn_tensor::{BitMask, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -116,16 +116,19 @@ impl BayesianNetwork {
     ///
     /// Panics if the input shape does not match the network.
     pub fn forward_sample(&self, input: &Tensor, masks: &DropoutMasks) -> SampleRun {
-        let activations = self.net.forward_with(input, |net, node, ins| {
-            let _layer = fbcnn_telemetry::span_with("layer_forward", || {
-                vec![("layer".into(), node.label().to_string())]
-            });
-            let mut out = net.eval_node(node, ins);
-            if let Some(mask) = masks.get(node.id()) {
-                out.apply_drop_mask(mask);
-            }
-            out
-        });
+        let activations = self
+            .net
+            .try_forward_with(input, |net, node, ins| {
+                let _layer = fbcnn_telemetry::span_with("layer_forward", || {
+                    vec![("layer".into(), node.label().to_string())]
+                });
+                let mut out = net.eval_node(node, ins);
+                if let Some(mask) = masks.get(node.id()) {
+                    out.apply_drop_mask(mask);
+                }
+                Ok::<_, NnError>(out)
+            })
+            .unwrap_or_else(|e| panic!("sample pass failed: {e}"));
         SampleRun { activations }
     }
 
@@ -145,16 +148,19 @@ impl BayesianNetwork {
         masks: &DropoutMasks,
         ws: &mut Workspace,
     ) -> SampleRun {
-        let activations = self.net.forward_with(input, |net, node, ins| {
-            let _layer = fbcnn_telemetry::span_with("layer_forward", || {
-                vec![("layer".into(), node.label().to_string())]
-            });
-            let mut out = net.eval_node_ws(node, ins, ws);
-            if let Some(mask) = masks.get(node.id()) {
-                out.apply_drop_mask(mask);
-            }
-            out
-        });
+        let activations = self
+            .net
+            .try_forward_with(input, |net, node, ins| {
+                let _layer = fbcnn_telemetry::span_with("layer_forward", || {
+                    vec![("layer".into(), node.label().to_string())]
+                });
+                let mut out = net.eval_node_ws(node, ins, ws);
+                if let Some(mask) = masks.get(node.id()) {
+                    out.apply_drop_mask(mask);
+                }
+                Ok::<_, NnError>(out)
+            })
+            .unwrap_or_else(|e| panic!("sample pass failed: {e}"));
         SampleRun { activations }
     }
 
@@ -170,14 +176,17 @@ impl BayesianNetwork {
         masks: &DropoutMasks,
     ) -> (SampleRun, Vec<Option<Tensor>>) {
         let mut pre_mask: Vec<Option<Tensor>> = vec![None; self.net.len()];
-        let activations = self.net.forward_with(input, |net, node, ins| {
-            let mut out = net.eval_node(node, ins);
-            if let Some(mask) = masks.get(node.id()) {
-                pre_mask[node.id().0] = Some(out.clone());
-                out.apply_drop_mask(mask);
-            }
-            out
-        });
+        let activations = self
+            .net
+            .try_forward_with(input, |net, node, ins| {
+                let mut out = net.eval_node(node, ins);
+                if let Some(mask) = masks.get(node.id()) {
+                    pre_mask[node.id().0] = Some(out.clone());
+                    out.apply_drop_mask(mask);
+                }
+                Ok::<_, NnError>(out)
+            })
+            .unwrap_or_else(|e| panic!("sample pass failed: {e}"));
         (SampleRun { activations }, pre_mask)
     }
 

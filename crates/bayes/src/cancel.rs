@@ -2,10 +2,11 @@
 //!
 //! A [`CancelToken`] carries three independent stop conditions — a manual
 //! cancel flag, an optional wall-clock deadline and an optional
-//! *deterministic sample budget* — and is checked at sample boundaries by
-//! [`crate::McDropout::run_cancellable`] (and, through the serving layer,
-//! by the robust pipeline). Because MC-dropout samples are i.i.d., a run
-//! stopped after `k` of `T` samples still yields a valid posterior
+//! *deterministic sample budget* — and is checked at every sample
+//! boundary of the robust serving pipeline (`Engine::predict_robust_controlled`
+//! in `fast-bcnn`, through its `RunControl`). Because MC-dropout samples
+//! are i.i.d. and sample `t` always draws `generate_masks(seed, t)`, a
+//! run stopped after `k` of `T` samples still yields a valid posterior
 //! estimate: the partial mean over the `k` completed rows is exactly what
 //! a `T = k` run with the same seed would have produced (the seed-prefix
 //! property pinned by the partial-T proptests).

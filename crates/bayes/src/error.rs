@@ -25,16 +25,13 @@ pub enum BayesError {
     Graph(NnError),
     /// An activation failed its numeric health check.
     Numeric(NumericFault),
-    /// Every sample of an isolated MC run was lost to worker panics.
+    /// Some request of an MC run lost every sample to panics.
     AllSamplesFailed {
         /// Samples requested.
         requested: usize,
     },
     /// A summary was requested over zero surviving samples.
     NoSamples,
-    /// A cancellable run's deadline expired before even one sample
-    /// completed (partial results require at least one row).
-    Expired,
     /// Per-sample probability rows disagree on the class count.
     InconsistentClasses,
 }
@@ -59,9 +56,6 @@ impl fmt::Display for BayesError {
                 write!(f, "all {requested} MC samples failed")
             }
             BayesError::NoSamples => write!(f, "no samples to summarize"),
-            BayesError::Expired => {
-                write!(f, "deadline expired before any sample completed")
-            }
             BayesError::InconsistentClasses => {
                 write!(f, "inconsistent class counts across samples")
             }
@@ -100,7 +94,6 @@ mod tests {
             BayesError::Numeric(NumericFault::NotFinite { node: 0, index: 4 }),
             BayesError::AllSamplesFailed { requested: 8 },
             BayesError::NoSamples,
-            BayesError::Expired,
             BayesError::InconsistentClasses,
         ];
         for c in cases {

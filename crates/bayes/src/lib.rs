@@ -48,5 +48,5 @@ pub use cancel::CancelToken;
 pub use error::BayesError;
 pub use lfsr::Lfsr32;
 pub use mask::DropoutMasks;
-pub use mc::{IsolatedRun, McDropout, McRequest, PartialRun, Prediction};
+pub use mc::{IsolatedRun, McDropout, McRequest, Prediction};
 pub use seed::derive_request_seed;

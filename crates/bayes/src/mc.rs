@@ -1,4 +1,3 @@
-use crate::cancel::CancelToken;
 use crate::mask::DropoutMasks;
 use crate::{metrics, BayesError, BayesianNetwork};
 use fbcnn_nn::Workspace;
@@ -43,9 +42,9 @@ pub struct Prediction {
     pub mutual_information: f32,
 }
 
-/// The outcome of a fault-isolated MC-dropout run
-/// ([`McDropout::run_parallel_isolated`]): the summary over surviving
-/// samples plus the indices of samples lost to worker panics.
+/// The outcome of one request of a fault-isolated MC-dropout run
+/// ([`McDropout::run_batch`], [`McDropout::run_with_masks`]): the summary
+/// over surviving samples plus the indices of samples lost to panics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IsolatedRun {
     /// Summary over the surviving samples.
@@ -53,24 +52,6 @@ pub struct IsolatedRun {
     /// Indices of samples whose inference panicked (empty on a clean
     /// run).
     pub failed: Vec<usize>,
-}
-
-/// The outcome of a deadline-capped MC-dropout run
-/// ([`McDropout::run_cancellable`]): the summary over the samples that
-/// completed before the token expired.
-///
-/// Because samples are i.i.d. and sample `t` always uses
-/// `generate_masks(seed, t)`, a run that completed `k < T` samples is
-/// *bit-identical* to a `McDropout::new(k, seed).run(..)` — a partial
-/// result is a smaller-T result, never a corrupted one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialRun {
-    /// Summary over the completed samples.
-    pub prediction: Prediction,
-    /// Samples that completed before expiry.
-    pub completed: usize,
-    /// Whether the token expired before all `T` samples ran.
-    pub expired: bool,
 }
 
 /// One request of a batched exact MC-dropout run
@@ -109,249 +90,66 @@ impl McDropout {
         self.seed
     }
 
-    /// Runs `T` stochastic passes and summarizes them.
+    /// Runs `T` stochastic passes over one input with the runner's seed
+    /// and summarizes them: one request of [`McDropout::run_batch`] on
+    /// the caller's thread, so all `T` passes share one [`Workspace`].
     ///
-    /// All `T` passes share one [`Workspace`], so the im2col scratch
-    /// buffer is allocated once and reused for every sample.
+    /// # Panics
+    ///
+    /// Panics if `input` does not fit the network or any sample is lost
+    /// (see [`McDropout::expect_complete`]).
     pub fn run(&self, bnet: &BayesianNetwork, input: &Tensor) -> Prediction {
-        let _span =
-            fbcnn_telemetry::span_with("mc_run", || vec![("mode".into(), "sequential".into())]);
-        fbcnn_telemetry::counter_add("mc_samples", &[("path", "exact")], self.t as u64);
-        let mut ws = Workspace::new();
-        let sample_probs: Vec<Vec<f32>> = (0..self.t)
-            .map(|t| {
-                let _sample = fbcnn_telemetry::span_with("mc_sample", || {
-                    vec![("sample".into(), t.to_string())]
-                });
-                let masks = bnet.generate_masks(self.seed, t);
-                let run = bnet.forward_sample_ws(input, &masks, &mut ws);
-                stats::softmax(run.logits())
-            })
-            .collect();
-        Self::summarize(sample_probs)
+        let request = McRequest {
+            input,
+            seed: self.seed,
+        };
+        Self::expect_complete(self.run_batch(bnet, &[request], 1))
     }
 
-    /// Like [`McDropout::run`], but checks `cancel` before every sample:
-    /// when the token expires mid-run the completed rows are summarized
-    /// and returned as a [`PartialRun`] instead of being discarded.
-    ///
-    /// Rows are produced in the same order with the same masks as
-    /// [`McDropout::run`], so a run that completed `k` samples returns a
-    /// prediction bit-identical to `McDropout::new(k, seed).run(..)` —
-    /// the partial-T proptests pin this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::Graph`] when the input does not fit the
-    /// network and [`BayesError::Expired`] when the token expired before
-    /// even one sample completed (there is no partial result to return).
-    pub fn run_cancellable(
-        &self,
-        bnet: &BayesianNetwork,
-        input: &Tensor,
-        cancel: &CancelToken,
-    ) -> Result<PartialRun, BayesError> {
-        bnet.network().check_input(input)?;
-        let _span =
-            fbcnn_telemetry::span_with("mc_run", || vec![("mode".into(), "cancellable".into())]);
-        let mut ws = Workspace::new();
-        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(self.t);
-        let mut expired = false;
-        for t in 0..self.t {
-            if cancel.checkpoint() {
-                expired = true;
-                break;
-            }
-            let _sample =
-                fbcnn_telemetry::span_with("mc_sample", || vec![("sample".into(), t.to_string())]);
-            fbcnn_telemetry::counter_add("mc_samples", &[("path", "cancellable")], 1);
-            let masks = bnet.generate_masks(self.seed, t);
-            let run = bnet.forward_sample_ws(input, &masks, &mut ws);
-            rows.push(stats::softmax(run.logits()));
-        }
-        if rows.is_empty() {
-            return Err(BayesError::Expired);
-        }
-        let completed = rows.len();
-        Ok(PartialRun {
-            prediction: Self::try_summarize(rows)?,
-            completed,
-            expired,
-        })
-    }
-
-    /// Like [`McDropout::run`], but distributes the `T` independent
-    /// sample inferences over `threads` worker threads (crossbeam scoped
-    /// threads; the samples share nothing but the read-only network, and
-    /// each worker reuses its own [`Workspace`] across its samples).
-    ///
-    /// The result is bit-identical to the sequential [`McDropout::run`]:
-    /// sample `t` always uses the masks `generate_masks(seed, t)` and the
-    /// rows are reassembled in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_parallel(
-        &self,
-        bnet: &BayesianNetwork,
-        input: &Tensor,
-        threads: usize,
-    ) -> Prediction {
-        assert!(threads > 0, "need at least one worker thread");
-        // The workers run under catch_unwind isolation; a lost sample
-        // surfaces as a clean panic here instead of an aborted scope.
-        match self.run_parallel_isolated(bnet, input, threads) {
-            Ok(run) if run.failed.is_empty() => run.prediction,
-            Ok(run) => panic!(
-                "{} of {} MC samples panicked (indices {:?})",
-                run.failed.len(),
-                self.t,
-                run.failed
-            ),
-            Err(e) => panic!("MC-dropout run failed: {e}"),
-        }
-    }
-
-    /// Dispatches to [`McDropout::run`] (when `threads <= 1`) or
-    /// [`McDropout::run_parallel`] — the convenience form call sites use
-    /// when the thread count comes from configuration. The result does
-    /// not depend on `threads`.
-    pub fn run_with_threads(
-        &self,
-        bnet: &BayesianNetwork,
-        input: &Tensor,
-        threads: usize,
-    ) -> Prediction {
-        if threads > 1 {
-            self.run_parallel(bnet, input, threads)
-        } else {
-            self.run(bnet, input)
-        }
-    }
-
-    /// Fault-isolated parallel run: like [`McDropout::run_parallel`], but
-    /// every sample inference executes inside `catch_unwind`, so one
-    /// poisoned sample (corrupted mask, malformed tensor, any library
-    /// panic) is dropped from the summary instead of aborting the whole
-    /// batch — soft-error containment for the T-sample loop.
-    ///
-    /// Surviving samples are bit-identical to the sequential
-    /// [`McDropout::run`]; the indices of lost samples are reported in
-    /// [`IsolatedRun::failed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::Graph`] if `input` does not match the
-    /// network (nothing could ever succeed) and
-    /// [`BayesError::AllSamplesFailed`] when no sample survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_parallel_isolated(
-        &self,
-        bnet: &BayesianNetwork,
-        input: &Tensor,
-        threads: usize,
-    ) -> Result<IsolatedRun, BayesError> {
-        self.run_isolated_with_masks(bnet, input, threads, |t| bnet.generate_masks(self.seed, t))
-    }
-
-    /// The general form of [`McDropout::run_parallel_isolated`]: sample
-    /// `t` uses the masks `masks_for(t)` instead of the built-in
-    /// generator. This is the entry point the fault-injection harness
-    /// uses to poison individual samples and prove they are contained.
-    ///
-    /// # Errors
-    ///
-    /// See [`McDropout::run_parallel_isolated`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_isolated_with_masks(
-        &self,
-        bnet: &BayesianNetwork,
-        input: &Tensor,
-        threads: usize,
-        masks_for: impl Fn(usize) -> DropoutMasks + Sync,
-    ) -> Result<IsolatedRun, BayesError> {
-        assert!(threads > 0, "need at least one worker thread");
-        bnet.network().check_input(input)?;
-        let _span =
-            fbcnn_telemetry::span_with("mc_run", || vec![("mode".into(), "isolated".into())]);
-        fbcnn_telemetry::counter_add("mc_samples", &[("path", "isolated")], self.t as u64);
-        let threads = threads.min(self.t);
-        let masks_for = &masks_for;
-        let mut rows: Vec<Option<Vec<f32>>> = vec![None; self.t];
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for (worker, chunk) in rows.chunks_mut(self.t.div_ceil(threads)).enumerate() {
-                let base = worker * self.t.div_ceil(threads);
-                scope.spawn(move |_| {
-                    let mut ws = Workspace::new();
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let t = base + offset;
-                        let _sample = fbcnn_telemetry::span_with("mc_sample", || {
-                            vec![("sample".into(), t.to_string())]
-                        });
-                        *slot = catch_unwind(AssertUnwindSafe(|| {
-                            let masks = masks_for(t);
-                            let run = bnet.forward_sample_ws(input, &masks, &mut ws);
-                            stats::softmax(run.logits())
-                        }))
-                        .ok();
-                        if slot.is_none() {
-                            // The panic may have left the scratch buffers
-                            // in a torn state; start the next sample clean.
-                            ws = Workspace::new();
-                        }
-                    }
-                });
-            }
-        });
-        // Workers never unwind past catch_unwind, so the scope itself
-        // cannot fail; keep a typed path anyway instead of unwrapping.
-        if scope_result.is_err() {
-            return Err(BayesError::AllSamplesFailed { requested: self.t });
-        }
-        let failed: Vec<usize> = rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.is_none().then_some(i))
-            .collect();
-        if !failed.is_empty() {
-            fbcnn_telemetry::counter_add("mc_samples_failed", &[], failed.len() as u64);
-        }
-        let surviving: Vec<Vec<f32>> = rows.into_iter().flatten().collect();
-        if surviving.is_empty() {
-            return Err(BayesError::AllSamplesFailed { requested: self.t });
-        }
-        Ok(IsolatedRun {
-            prediction: Self::try_summarize(surviving)?,
-            failed,
-        })
-    }
-
-    /// Batched exact MC-dropout: serves every request's `T` samples from
-    /// one flattened work list, interleaving the `(request, sample)`
-    /// units across `threads` crossbeam-scoped workers — one worker may
-    /// finish request A's tail while another starts request B, so the
-    /// batch drains without per-request barriers. Each worker reuses its
-    /// own [`Workspace`] across all units it executes.
+    /// Batched exact MC-dropout: [`McDropout::run_with_masks`] with
+    /// sample `t` of request `r` drawing `generate_masks(seed_r, t)`.
     ///
     /// **Composition invariance:** request `r`'s result depends only on
-    /// `(input_r, seed_r, T)` — sample `t` always uses the masks
-    /// `generate_masks(seed_r, t)` and rows are reassembled in order —
-    /// so the outcome is bit-identical to a standalone
-    /// `McDropout::new(T, seed_r).run(bnet, input_r)` regardless of
-    /// batch size, ordering, thread count, or which other requests share
-    /// the batch. The runner's own seed is not consulted; each request
-    /// carries its own (see [`crate::derive_request_seed`]).
+    /// `(input_r, seed_r, T)`, so the outcome is bit-identical to a
+    /// standalone `McDropout::new(T, seed_r).run(bnet, input_r)`
+    /// regardless of batch size, ordering, thread count, or which other
+    /// requests share the batch. The runner's own seed is not consulted;
+    /// each request carries its own (see [`crate::derive_request_seed`]).
     ///
-    /// Every unit executes under `catch_unwind`, so a poisoned request
-    /// cannot take its batch-mates down: lost samples are reported per
-    /// request in [`IsolatedRun::failed`].
+    /// # Errors
+    ///
+    /// See [`McDropout::run_with_masks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn run_batch(
+        &self,
+        bnet: &BayesianNetwork,
+        requests: &[McRequest<'_>],
+        threads: usize,
+    ) -> Result<Vec<IsolatedRun>, BayesError> {
+        self.run_with_masks(bnet, requests, threads, |r, t| {
+            bnet.generate_masks(requests[r].seed, t)
+        })
+    }
+
+    /// The MC-dropout runner. Every request's `T` samples form one
+    /// flattened list of `(request, sample)` units, split into contiguous
+    /// chunks across `threads` workers — one worker may finish request
+    /// A's tail while another starts request B, so the batch drains
+    /// without per-request barriers. Each worker reuses one [`Workspace`]
+    /// across its units; with one worker the run stays on the caller's
+    /// thread. Unit `(r, t)` runs under the masks `masks_for(r, t)` and
+    /// rows are reassembled in order, so the result does not depend on
+    /// `threads`.
+    ///
+    /// Every unit executes inside `catch_unwind`: one poisoned sample
+    /// (corrupted mask, malformed tensor, any library panic) is dropped
+    /// from its request's summary and named in [`IsolatedRun::failed`]
+    /// instead of aborting the batch. Surviving rows are bit-identical to
+    /// a clean run's. A custom `masks_for` is how the fault-injection
+    /// harness poisons individual samples.
     ///
     /// # Errors
     ///
@@ -363,11 +161,12 @@ impl McDropout {
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn run_batch(
+    pub fn run_with_masks(
         &self,
         bnet: &BayesianNetwork,
         requests: &[McRequest<'_>],
         threads: usize,
+        masks_for: impl Fn(usize, usize) -> DropoutMasks + Sync,
     ) -> Result<Vec<IsolatedRun>, BayesError> {
         assert!(threads > 0, "need at least one worker thread");
         if requests.is_empty() {
@@ -378,50 +177,57 @@ impl McDropout {
         }
         let _span = fbcnn_telemetry::span_with("mc_run", || {
             vec![
-                ("mode".into(), "batch".into()),
+                ("mode".into(), "exact".into()),
                 ("requests".into(), requests.len().to_string()),
             ]
         });
         let units = requests.len() * self.t;
-        fbcnn_telemetry::counter_add("mc_samples", &[("path", "batch")], units as u64);
-        let threads = threads.min(units);
-        let mut rows: Vec<Option<Vec<f32>>> = vec![None; units];
-        let chunk_len = units.div_ceil(threads);
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for (worker, chunk) in rows.chunks_mut(chunk_len).enumerate() {
-                let base = worker * chunk_len;
-                scope.spawn(move |_| {
-                    let mut ws = Workspace::new();
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let unit = base + offset;
-                        let (r, s) = (unit / self.t, unit % self.t);
-                        let req = &requests[r];
-                        let _sample = fbcnn_telemetry::span_with("mc_sample", || {
-                            vec![
-                                ("request".into(), r.to_string()),
-                                ("sample".into(), s.to_string()),
-                            ]
-                        });
-                        *slot = catch_unwind(AssertUnwindSafe(|| {
-                            let masks = bnet.generate_masks(req.seed, s);
-                            let run = bnet.forward_sample_ws(req.input, &masks, &mut ws);
-                            stats::softmax(run.logits())
-                        }))
-                        .ok();
-                        if slot.is_none() {
-                            // The panic may have torn the scratch buffers;
-                            // start the next unit clean.
-                            ws = Workspace::new();
-                        }
-                    }
+        fbcnn_telemetry::counter_add("mc_samples", &[("path", "exact")], units as u64);
+        let run_units = |base: usize, slots: &mut [Option<Vec<f32>>]| {
+            let mut ws = Workspace::new();
+            for (offset, slot) in slots.iter_mut().enumerate() {
+                let (r, t) = ((base + offset) / self.t, (base + offset) % self.t);
+                let _sample = fbcnn_telemetry::span_with("mc_sample", || {
+                    vec![
+                        ("request".into(), r.to_string()),
+                        ("sample".into(), t.to_string()),
+                    ]
                 });
+                *slot = catch_unwind(AssertUnwindSafe(|| {
+                    let masks = masks_for(r, t);
+                    let run = bnet.forward_sample_ws(requests[r].input, &masks, &mut ws);
+                    stats::softmax(run.logits())
+                }))
+                .ok();
+                if slot.is_none() {
+                    // The panic may have torn the scratch buffers; start
+                    // the next unit clean.
+                    ws = Workspace::new();
+                }
             }
-        });
-        if scope_result.is_err() {
-            return Err(BayesError::AllSamplesFailed { requested: units });
+        };
+        let mut rows: Vec<Option<Vec<f32>>> = vec![None; units];
+        let threads = threads.min(units);
+        if threads == 1 {
+            run_units(0, &mut rows);
+        } else {
+            let chunk_len = units.div_ceil(threads);
+            let run_units = &run_units;
+            let scope_result = crossbeam::thread::scope(|scope| {
+                for (worker, chunk) in rows.chunks_mut(chunk_len).enumerate() {
+                    scope.spawn(move |_| run_units(worker * chunk_len, chunk));
+                }
+            });
+            // Units never unwind past catch_unwind, so the scope itself
+            // cannot fail; keep a typed path anyway instead of unwrapping.
+            if scope_result.is_err() {
+                return Err(BayesError::AllSamplesFailed { requested: units });
+            }
         }
+        let mut rows = rows.into_iter();
         let mut out = Vec::with_capacity(requests.len());
-        for request_rows in rows.chunks(self.t) {
+        for _ in requests {
+            let request_rows: Vec<Option<Vec<f32>>> = rows.by_ref().take(self.t).collect();
             let failed: Vec<usize> = request_rows
                 .iter()
                 .enumerate()
@@ -430,7 +236,7 @@ impl McDropout {
             if !failed.is_empty() {
                 fbcnn_telemetry::counter_add("mc_samples_failed", &[], failed.len() as u64);
             }
-            let surviving: Vec<Vec<f32>> = request_rows.iter().flatten().cloned().collect();
+            let surviving: Vec<Vec<f32>> = request_rows.into_iter().flatten().collect();
             if surviving.is_empty() {
                 return Err(BayesError::AllSamplesFailed { requested: self.t });
             }
@@ -442,6 +248,30 @@ impl McDropout {
         Ok(out)
     }
 
+    /// Unwraps a one-request run into its prediction — the contract of
+    /// [`McDropout::run`] and of callers that pick a thread count for
+    /// [`McDropout::run_batch`]: an exact run never summarizes fewer than
+    /// `T` samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an error (such as an input that does not fit the
+    /// network), when `result` does not hold exactly one request, or when
+    /// any sample was lost.
+    pub fn expect_complete(result: Result<Vec<IsolatedRun>, BayesError>) -> Prediction {
+        let runs = result.unwrap_or_else(|e| panic!("MC-dropout run failed: {e}"));
+        let [run]: [IsolatedRun; 1] = runs
+            .try_into()
+            .unwrap_or_else(|runs: Vec<_>| panic!("expected one request, got {}", runs.len()));
+        assert!(
+            run.failed.is_empty(),
+            "{} MC samples panicked (indices {:?})",
+            run.failed.len(),
+            run.failed
+        );
+        run.prediction
+    }
+
     /// Builds a [`Prediction`] from per-sample probability rows,
     /// reporting malformed inputs as typed errors.
     ///
@@ -450,28 +280,13 @@ impl McDropout {
     /// Returns [`BayesError::NoSamples`] for an empty row set and
     /// [`BayesError::InconsistentClasses`] when rows disagree on length.
     pub fn try_summarize(sample_probs: Vec<Vec<f32>>) -> Result<Prediction, BayesError> {
-        if sample_probs.is_empty() {
+        let Some(first) = sample_probs.first() else {
             return Err(BayesError::NoSamples);
-        }
-        let classes = sample_probs[0].len();
+        };
+        let classes = first.len();
         if !sample_probs.iter().all(|p| p.len() == classes) {
             return Err(BayesError::InconsistentClasses);
         }
-        Ok(Self::summarize(sample_probs))
-    }
-
-    /// Builds a [`Prediction`] from per-sample probability rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_probs` is empty or rows have differing lengths.
-    pub fn summarize(sample_probs: Vec<Vec<f32>>) -> Prediction {
-        assert!(!sample_probs.is_empty(), "no samples to summarize");
-        let classes = sample_probs[0].len();
-        assert!(
-            sample_probs.iter().all(|p| p.len() == classes),
-            "inconsistent class counts across samples"
-        );
         let mut mean = vec![0.0f32; classes];
         for probs in &sample_probs {
             for (m, p) in mean.iter_mut().zip(probs) {
@@ -484,13 +299,22 @@ impl McDropout {
         let class = stats::argmax(&mean);
         let predictive_entropy = stats::entropy(&mean);
         let mutual_information = metrics::mutual_information(&sample_probs);
-        Prediction {
+        Ok(Prediction {
             sample_probs,
             mean,
             class,
             predictive_entropy,
             mutual_information,
-        }
+        })
+    }
+
+    /// Builds a [`Prediction`] from per-sample probability rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample_probs` is empty or rows have differing lengths.
+    pub fn summarize(sample_probs: Vec<Vec<f32>>) -> Prediction {
+        Self::try_summarize(sample_probs).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -531,14 +355,24 @@ mod tests {
         assert_ne!(a.sample_probs, c.sample_probs);
     }
 
+    /// Thread counts every runner test sweeps: one (caller's thread),
+    /// even and odd splits, and more workers than units.
+    const THREADS: [usize; 4] = [1, 2, 3, 16];
+
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let (bnet, input) = setup();
         let runner = McDropout::new(7, 13);
         let seq = runner.run(&bnet, &input);
-        for threads in [1, 2, 3, 16] {
-            let par = runner.run_parallel(&bnet, &input, threads);
-            assert_eq!(seq, par, "divergence at {threads} threads");
+        let request = [McRequest {
+            input: &input,
+            seed: 13,
+        }];
+        for threads in THREADS {
+            let mut runs = runner.run_batch(&bnet, &request, threads).unwrap();
+            let run = runs.pop().unwrap();
+            assert!(run.failed.is_empty());
+            assert_eq!(seq, run.prediction, "divergence at {threads} threads");
         }
     }
 
@@ -557,17 +391,19 @@ mod tests {
         let _ = McDropout::new(0, 0);
     }
 
-    #[test]
-    fn isolated_run_matches_sequential_when_healthy() {
-        let (bnet, input) = setup();
-        let runner = McDropout::new(5, 21);
-        let seq = runner.run(&bnet, &input);
-        for threads in [1, 3] {
-            let iso = runner
-                .run_parallel_isolated(&bnet, &input, threads)
-                .unwrap();
-            assert!(iso.failed.is_empty());
-            assert_eq!(iso.prediction, seq, "divergence at {threads} threads");
+    /// Sample 2 of every request gets a wrong-shaped mask: its forward
+    /// pass panics inside the unit, the other samples survive.
+    fn poison_sample_two(
+        bnet: &BayesianNetwork,
+        seed: u64,
+    ) -> impl Fn(usize, usize) -> DropoutMasks + Sync + '_ {
+        move |_, t| {
+            let mut masks = bnet.generate_masks(seed, t);
+            if t == 2 {
+                let node = bnet.dropout_nodes()[0];
+                masks.insert(node, fbcnn_tensor::BitMask::ones(Shape::new(1, 2, 2)));
+            }
+            masks
         }
     }
 
@@ -576,23 +412,22 @@ mod tests {
         let (bnet, input) = setup();
         let runner = McDropout::new(6, 21);
         let clean = runner.run(&bnet, &input);
-        // Sample 2 gets a mask set with a wrong-shaped mask: its forward
-        // pass panics inside the worker, the other five survive.
-        let iso = runner
-            .run_isolated_with_masks(&bnet, &input, 2, |t| {
-                let mut masks = bnet.generate_masks(21, t);
-                if t == 2 {
-                    let node = bnet.dropout_nodes()[0];
-                    masks.insert(node, fbcnn_tensor::BitMask::ones(Shape::new(1, 2, 2)));
-                }
-                masks
-            })
-            .expect("five samples survive");
-        assert_eq!(iso.failed, vec![2]);
-        assert_eq!(iso.prediction.sample_probs.len(), 5);
-        // Surviving rows are bit-identical to the clean run's rows.
-        for (i, t) in [0usize, 1, 3, 4, 5].into_iter().enumerate() {
-            assert_eq!(iso.prediction.sample_probs[i], clean.sample_probs[t]);
+        let request = [McRequest {
+            input: &input,
+            seed: 21,
+        }];
+        for threads in THREADS {
+            let iso = runner
+                .run_with_masks(&bnet, &request, threads, poison_sample_two(&bnet, 21))
+                .expect("five samples survive")
+                .pop()
+                .unwrap();
+            assert_eq!(iso.failed, vec![2], "at {threads} threads");
+            assert_eq!(iso.prediction.sample_probs.len(), 5);
+            // Surviving rows are bit-identical to the clean run's rows.
+            for (i, t) in [0usize, 1, 3, 4, 5].into_iter().enumerate() {
+                assert_eq!(iso.prediction.sample_probs[i], clean.sample_probs[t]);
+            }
         }
     }
 
@@ -600,29 +435,50 @@ mod tests {
     fn isolated_run_reports_total_loss() {
         let (bnet, input) = setup();
         let runner = McDropout::new(3, 21);
-        let err = runner
-            .run_isolated_with_masks(&bnet, &input, 2, |_| {
-                // Every sample carries a wrong-shaped mask: the in-worker
-                // apply_drop_mask panic kills all of them.
-                let mut masks = DropoutMasks::empty(bnet.network().len());
-                masks.insert(
-                    bnet.dropout_nodes()[0],
-                    fbcnn_tensor::BitMask::ones(Shape::new(1, 2, 2)),
-                );
-                masks
-            })
-            .unwrap_err();
-        assert_eq!(err, BayesError::AllSamplesFailed { requested: 3 });
+        let request = [McRequest {
+            input: &input,
+            seed: 21,
+        }];
+        for threads in THREADS {
+            let err = runner
+                .run_with_masks(&bnet, &request, threads, |_, _| {
+                    // Every sample carries a wrong-shaped mask: the
+                    // in-unit apply_drop_mask panic kills all of them.
+                    let mut masks = DropoutMasks::empty(bnet.network().len());
+                    masks.insert(
+                        bnet.dropout_nodes()[0],
+                        fbcnn_tensor::BitMask::ones(Shape::new(1, 2, 2)),
+                    );
+                    masks
+                })
+                .unwrap_err();
+            assert_eq!(err, BayesError::AllSamplesFailed { requested: 3 });
+        }
     }
 
     #[test]
-    fn isolated_run_rejects_bad_input_shape_as_typed_error() {
+    #[should_panic(expected = "MC-dropout run failed")]
+    fn run_panics_on_a_wrong_shaped_input() {
         let (bnet, _) = setup();
-        let runner = McDropout::new(3, 21);
-        let bad = Tensor::zeros(Shape::new(3, 3, 3));
-        assert!(matches!(
-            runner.run_parallel_isolated(&bnet, &bad, 2),
-            Err(BayesError::Graph(_))
+        let _ = McDropout::new(3, 21).run(&bnet, &Tensor::zeros(Shape::new(3, 3, 3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "1 MC samples panicked (indices [2])")]
+    fn a_lost_sample_panics_run_instead_of_being_summarized() {
+        // `run` is `expect_complete` over a one-request, one-thread run;
+        // here the same run loses sample 2 through the mask seam.
+        let (bnet, input) = setup();
+        let request = [McRequest {
+            input: &input,
+            seed: 21,
+        }];
+        let runner = McDropout::new(4, 21);
+        let _ = McDropout::expect_complete(runner.run_with_masks(
+            &bnet,
+            &request,
+            1,
+            poison_sample_two(&bnet, 21),
         ));
     }
 
@@ -646,7 +502,7 @@ mod tests {
                 seed: crate::derive_request_seed(77, 2),
             },
         ];
-        for threads in [1, 2, 4] {
+        for threads in THREADS {
             let batch = runner.run_batch(&bnet, &requests, threads).unwrap();
             assert_eq!(batch.len(), 3);
             for (req, run) in requests.iter().zip(&batch) {
@@ -717,23 +573,20 @@ mod tests {
         let (bnet, input) = setup();
         let bad = Tensor::zeros(Shape::new(3, 3, 3));
         let runner = McDropout::new(3, 0);
-        let err = runner
-            .run_batch(
-                &bnet,
-                &[
-                    McRequest {
-                        input: &input,
-                        seed: 1,
-                    },
-                    McRequest {
-                        input: &bad,
-                        seed: 2,
-                    },
-                ],
-                2,
-            )
-            .unwrap_err();
-        assert!(matches!(err, BayesError::Graph(_)));
+        let requests = [
+            McRequest {
+                input: &input,
+                seed: 1,
+            },
+            McRequest {
+                input: &bad,
+                seed: 2,
+            },
+        ];
+        for threads in THREADS {
+            let err = runner.run_batch(&bnet, &requests, threads).unwrap_err();
+            assert!(matches!(err, BayesError::Graph(_)));
+        }
     }
 
     #[test]
@@ -743,53 +596,6 @@ mod tests {
             .run_batch(&bnet, &[], 2)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn cancellable_run_without_limits_matches_run() {
-        let (bnet, input) = setup();
-        let runner = McDropout::new(5, 17);
-        let full = runner.run(&bnet, &input);
-        let partial = runner
-            .run_cancellable(&bnet, &input, &CancelToken::never())
-            .unwrap();
-        assert!(!partial.expired);
-        assert_eq!(partial.completed, 5);
-        assert_eq!(partial.prediction, full);
-    }
-
-    #[test]
-    fn budgeted_run_equals_smaller_t_run_bitwise() {
-        let (bnet, input) = setup();
-        let t = 6;
-        for k in 1..t {
-            let partial = McDropout::new(t, 31)
-                .run_cancellable(&bnet, &input, &CancelToken::with_sample_budget(k as u64))
-                .unwrap();
-            assert!(partial.expired, "budget {k} must expire a {t}-sample run");
-            assert_eq!(partial.completed, k);
-            let reference = McDropout::new(k, 31).run(&bnet, &input);
-            assert_eq!(partial.prediction, reference, "k = {k} diverged");
-        }
-    }
-
-    #[test]
-    fn zero_budget_is_a_typed_expiry() {
-        let (bnet, input) = setup();
-        let err = McDropout::new(4, 2)
-            .run_cancellable(&bnet, &input, &CancelToken::with_sample_budget(0))
-            .unwrap_err();
-        assert_eq!(err, BayesError::Expired);
-    }
-
-    #[test]
-    fn cancellable_run_rejects_bad_input_shape() {
-        let (bnet, _) = setup();
-        let bad = Tensor::zeros(Shape::new(3, 3, 3));
-        assert!(matches!(
-            McDropout::new(4, 2).run_cancellable(&bnet, &bad, &CancelToken::never()),
-            Err(BayesError::Graph(_))
-        ));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the multithreaded runner.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fbcnn_bayes::{BayesianNetwork, McDropout};
+use fbcnn_bayes::{BayesianNetwork, McDropout, McRequest};
 use fbcnn_nn::models;
 use fbcnn_tensor::{stats, Tensor};
 use std::hint::black_box;
@@ -38,7 +38,11 @@ fn bench_mc(c: &mut Criterion) {
         b.iter(|| black_box(runner.run(&bnet, black_box(&input))));
     });
     group.bench_function("parallel_4t", |b| {
-        b.iter(|| black_box(runner.run_parallel(&bnet, black_box(&input), 4)));
+        let request = [McRequest {
+            input: &input,
+            seed: SEED,
+        }];
+        b.iter(|| black_box(runner.run_batch(&bnet, black_box(&request), 4)));
     });
     group.finish();
 }

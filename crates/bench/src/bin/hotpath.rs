@@ -6,7 +6,7 @@
 //! parallel variants. The committed reference numbers were produced with
 //! `--t 30 --threads 4`.
 
-use fbcnn_bayes::{BayesianNetwork, McDropout};
+use fbcnn_bayes::{BayesianNetwork, McDropout, McRequest};
 use fbcnn_nn::models;
 use fbcnn_nn::{Conv2d, Workspace};
 use fbcnn_predictor::{
@@ -130,7 +130,13 @@ fn main() {
             .collect::<Vec<_>>()
     });
     let mc_ws_ns = time_ns(reps_mc, || runner.run(&bnet, &mc_input));
-    let mc_par_ns = time_ns(reps_mc, || runner.run_parallel(&bnet, &mc_input, threads));
+    let mc_request = [McRequest {
+        input: &mc_input,
+        seed: args.cfg.seed,
+    }];
+    let mc_par_ns = time_ns(reps_mc, || {
+        McDropout::expect_complete(runner.run_batch(&bnet, &mc_request, threads))
+    });
     let mc = timing(mc_naive_ns, mc_ws_ns, Some(mc_par_ns));
 
     let report = HotpathReport {

@@ -359,7 +359,7 @@ impl BatchEngine {
     }
 
     /// Serves one request: validation, cached pre-inference, then the
-    /// exact staged pipeline of [`Engine::predict_robust_seeded_with`].
+    /// exact staged pipeline of [`Engine::predict_robust_controlled`].
     fn serve_one(
         &self,
         req: &BatchRequest,
@@ -378,13 +378,11 @@ impl BatchEngine {
                 requested: self.engine.config().samples,
             }),
         };
-        let net = self.engine.network();
-        if let Err(e) = net.check_input(&req.input) {
-            outcome.result = Err(e.into());
-            return outcome;
-        }
-        if let Err(e) = self.shared.thresholds().validate(net) {
-            outcome.result = Err(e.into());
+        if let Err(e) = self
+            .engine
+            .check_request(&req.input, self.shared.thresholds())
+        {
+            outcome.result = Err(e);
             return outcome;
         }
         let (prepared, cache_hit) = self.prepare(&req.input);

@@ -431,7 +431,7 @@ fn cmd_observe(args: &Args) {
     let engine = engine_for(args);
     let input = synth_input(engine.network().input_shape(), 7);
     let (fast, stats) = engine.predict_fast(&input);
-    let robust = engine.predict_robust(&input);
+    let robust = engine.predict_robust_seeded(&input, engine.config().seed);
     drop(guard);
 
     println!(

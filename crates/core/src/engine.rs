@@ -1,7 +1,7 @@
 use crate::error::{EngineError, InferenceError};
 use crate::resilience::RunControl;
 use fbcnn_accel::{RunReport, Workload};
-use fbcnn_bayes::{BayesianNetwork, McDropout, Prediction};
+use fbcnn_bayes::{BayesianNetwork, McDropout, McRequest, Prediction};
 use fbcnn_nn::models::{ModelKind, ModelScale};
 use fbcnn_nn::{ActivationGuard, GuardPolicy, Network, Workspace};
 use fbcnn_predictor::{PredictiveInference, SkipStats, ThresholdOptimizer, ThresholdSet};
@@ -106,8 +106,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// Knobs of [`Engine::predict_robust`]'s anomaly detection and graceful
-/// degradation; the defaults suit the workspace models.
+/// Knobs of [`Engine::predict_robust_controlled`]'s anomaly detection
+/// and graceful degradation; the defaults suit the workspace models.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustConfig {
     /// Activation health check applied to the pre-inference and to exact
@@ -147,7 +147,7 @@ impl Default for RobustConfig {
     }
 }
 
-/// How much of a [`Engine::predict_robust`] run ran degraded.
+/// How much of a [`Engine::predict_robust_controlled`] run ran degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradedMode {
     /// Every sample came from the fast skipping path.
@@ -175,7 +175,7 @@ impl DegradedMode {
     }
 }
 
-/// What [`Engine::predict_robust`] did to produce its prediction.
+/// What [`Engine::predict_robust_controlled`] did to produce its prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustReport {
     /// Samples the configuration asked for.
@@ -335,7 +335,8 @@ impl Engine {
     /// Mutable access to the calibrated thresholds — the injection point
     /// for fault campaigns ([`crate::FaultInjector`]) and manual
     /// overrides. A structurally damaged set surfaces as a typed
-    /// [`InferenceError::Thresholds`] from [`Engine::predict_robust`].
+    /// [`InferenceError::Thresholds`] from
+    /// [`Engine::predict_robust_controlled`].
     pub fn thresholds_mut(&mut self) -> &mut ThresholdSet {
         &mut self.thresholds
     }
@@ -346,15 +347,25 @@ impl Engine {
         &mut self.bnet
     }
 
-    /// Exact MC-dropout inference (`T` dense stochastic passes),
-    /// parallelized over `EngineConfig::threads` workers when > 1.
+    /// Exact MC-dropout inference (`T` dense stochastic passes): one
+    /// request of [`McDropout::run_batch`] over `EngineConfig::threads`
+    /// workers (one thread runs on the caller's thread).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not fit the network or a sample is lost
+    /// (see [`McDropout::expect_complete`]).
     pub fn predict_exact(&self, input: &Tensor) -> Prediction {
         let _span = fbcnn_telemetry::span("predict_exact");
-        McDropout::new(self.cfg.samples, self.cfg.seed).run_with_threads(
-            &self.bnet,
+        let request = McRequest {
             input,
+            seed: self.cfg.seed,
+        };
+        McDropout::expect_complete(McDropout::new(self.cfg.samples, self.cfg.seed).run_batch(
+            &self.bnet,
+            &[request],
             self.cfg.threads,
-        )
+        ))
     }
 
     /// Skipping MC-dropout inference: one pre-inference plus `T` skipping
@@ -367,95 +378,29 @@ impl Engine {
         (McDropout::summarize(probs), skip)
     }
 
-    /// Guarded, gracefully-degrading inference with the default
-    /// [`RobustConfig`]; see [`Engine::predict_robust_with`].
+    /// [`Engine::predict_robust_controlled`] with the default
+    /// [`RobustConfig`] and no run control.
     ///
     /// # Errors
     ///
-    /// See [`Engine::predict_robust_with`].
-    pub fn predict_robust(
-        &self,
-        input: &Tensor,
-    ) -> Result<(Prediction, RobustReport), InferenceError> {
-        self.predict_robust_with(input, &RobustConfig::default())
-    }
-
-    /// [`Engine::predict_robust`] with an explicit mask seed instead of
-    /// the configured one — the per-request form the batched engine
-    /// compares against. `predict_robust(input)` is exactly
-    /// `predict_robust_seeded(input, config().seed)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::predict_robust_with`].
+    /// See [`Engine::predict_robust_controlled`].
     pub fn predict_robust_seeded(
         &self,
         input: &Tensor,
         seed: u64,
     ) -> Result<(Prediction, RobustReport), InferenceError> {
-        self.predict_robust_seeded_with(input, seed, &RobustConfig::default())
-    }
-
-    /// The fully explicit robust entry point: caller-chosen mask seed and
-    /// robustness knobs.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::predict_robust_with`].
-    pub fn predict_robust_seeded_with(
-        &self,
-        input: &Tensor,
-        seed: u64,
-        rc: &RobustConfig,
-    ) -> Result<(Prediction, RobustReport), InferenceError> {
-        let _span = fbcnn_telemetry::span("predict_robust");
-        let net = self.network();
-        net.check_input(input)?;
-        self.thresholds.validate(net)?;
-        let fast = PredictiveInference::new(&self.bnet, input, self.thresholds.clone());
-        let mut ws = Workspace::new();
-        self.robust_core(&fast, input, seed, rc, &mut ws, &RunControl::none())
-    }
-
-    /// [`Engine::predict_robust_seeded_with`] under an explicit
-    /// [`RunControl`] — the entry point the resilience layer uses to
-    /// thread a deadline/cancellation token, a sample cap or a forced
-    /// exact path into the staged pipeline. With [`RunControl::none`]
-    /// this is bit-identical to [`Engine::predict_robust_seeded_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::predict_robust_with`]; additionally
-    /// [`InferenceError::Expired`] when the token expires before even one
-    /// sample completes.
-    pub fn predict_robust_controlled(
-        &self,
-        input: &Tensor,
-        seed: u64,
-        rc: &RobustConfig,
-        ctl: &RunControl,
-    ) -> Result<(Prediction, RobustReport), InferenceError> {
-        let _span = fbcnn_telemetry::span("predict_robust");
-        let net = self.network();
-        net.check_input(input)?;
-        self.thresholds.validate(net)?;
-        let fast = PredictiveInference::new(&self.bnet, input, self.thresholds.clone());
-        let mut ws = Workspace::new();
-        self.robust_core(&fast, input, seed, rc, &mut ws, ctl)
-    }
-
-    /// The shared immutable half of the skipping predictor (thresholds,
-    /// indicator maps, structural flags), ready to be `Arc`-shared across
-    /// requests by a serving layer. Built on demand so that threshold
-    /// mutations through [`Engine::thresholds_mut`] are always picked up.
-    pub fn predictor_shared(&self) -> fbcnn_predictor::PredictorShared {
-        fbcnn_predictor::PredictorShared::new(&self.bnet, self.thresholds.clone())
+        self.predict_robust_controlled(input, seed, &RobustConfig::default(), &RunControl::none())
     }
 
     /// Guarded, gracefully-degrading inference: runs the fast skipping
     /// path wherever it is healthy and falls back — per sample or, when
     /// the thresholds themselves are suspect, wholesale — to the exact
     /// path, so that a fault degrades throughput instead of correctness.
+    /// `seed` is the request's mask seed (sample `t` draws
+    /// `generate_masks(seed, t)`), `rc` the robustness knobs, and `ctl`
+    /// the resilience layer's run control: a deadline/cancellation token,
+    /// a sample cap, a forced exact path or a per-sample hook.
+    /// [`RunControl::none`] leaves the run uncontrolled.
     ///
     /// The run proceeds in stages:
     ///
@@ -478,15 +423,44 @@ impl Engine {
     ///
     /// [`InferenceError::Input`] / [`InferenceError::Thresholds`] on
     /// structural violations, [`InferenceError::Numeric`] on corrupt
-    /// weights (or any fault under [`GuardPolicy::Fail`]), and
+    /// weights (or any fault under [`GuardPolicy::Fail`]),
     /// [`InferenceError::AllSamplesFailed`] when no sample survives on
-    /// either path.
-    pub fn predict_robust_with(
+    /// either path, and [`InferenceError::Expired`] when the token
+    /// expires before even one sample completes.
+    pub fn predict_robust_controlled(
         &self,
         input: &Tensor,
+        seed: u64,
         rc: &RobustConfig,
+        ctl: &RunControl,
     ) -> Result<(Prediction, RobustReport), InferenceError> {
-        self.predict_robust_seeded_with(input, self.cfg.seed, rc)
+        let _span = fbcnn_telemetry::span("predict_robust");
+        self.check_request(input, &self.thresholds)?;
+        let fast = PredictiveInference::new(&self.bnet, input, self.thresholds.clone());
+        let mut ws = Workspace::new();
+        self.robust_core(&fast, input, seed, rc, &mut ws, ctl)
+    }
+
+    /// Stage 1 of the robust pipeline: the input must fit the network and
+    /// `thresholds` (the engine's own, or a serving layer's shared copy)
+    /// must fit its graph.
+    pub(crate) fn check_request(
+        &self,
+        input: &Tensor,
+        thresholds: &ThresholdSet,
+    ) -> Result<(), InferenceError> {
+        let net = self.network();
+        net.check_input(input)?;
+        thresholds.validate(net)?;
+        Ok(())
+    }
+
+    /// The shared immutable half of the skipping predictor (thresholds,
+    /// indicator maps, structural flags), ready to be `Arc`-shared across
+    /// requests by a serving layer. Built on demand so that threshold
+    /// mutations through [`Engine::thresholds_mut`] are always picked up.
+    pub fn predictor_shared(&self) -> fbcnn_predictor::PredictorShared {
+        fbcnn_predictor::PredictorShared::new(&self.bnet, self.thresholds.clone())
     }
 
     /// The staged robust pipeline (pre-inference screening → canary →
@@ -494,18 +468,15 @@ impl Engine {
     /// validated input and an already constructed skipping predictor.
     ///
     /// This is the single implementation behind both the one-shot
-    /// [`Engine::predict_robust_with`] and the batched
+    /// [`Engine::predict_robust_controlled`] and the batched
     /// [`crate::BatchEngine`]: because both routes execute this exact
     /// code with the same `(input, seed, rc)`, a batched request is
     /// bit-identical to its sequential counterpart by construction.
     /// `ws` is caller-provided scratch (a serving layer pools it);
-    /// workspace reuse does not change results. `ctl` threads the
-    /// resilience layer's run control in: a cancellation/deadline token
-    /// checked at every sample boundary, an optional sample cap
-    /// (admission-control degradation), a forced exact path (open
-    /// circuit breaker) and a per-sample hook (latency-fault injection);
-    /// [`RunControl::none`] reproduces the uncontrolled behavior
-    /// bit-for-bit.
+    /// workspace reuse does not change results. `ctl`'s token is checked
+    /// at every sample boundary, its sample cap implements
+    /// admission-control degradation, its forced exact path an open
+    /// circuit breaker and its hook latency-fault injection.
     pub(crate) fn robust_core(
         &self,
         fast: &PredictiveInference<'_>,
@@ -810,9 +781,14 @@ mod tests {
     use super::*;
 
     fn small_engine() -> Engine {
+        engine_with_threads(1)
+    }
+
+    fn engine_with_threads(threads: usize) -> Engine {
         Engine::new(EngineConfig {
             samples: 4,
             calibration_samples: 3,
+            threads,
             ..EngineConfig::for_model(ModelKind::LeNet5)
         })
     }
@@ -923,7 +899,7 @@ mod tests {
         let e = small_engine();
         let input = synth_input(e.network().input_shape(), 11);
         let (fast, _) = e.predict_fast(&input);
-        let (robust, report) = e.predict_robust(&input).unwrap();
+        let (robust, report) = e.predict_robust_seeded(&input, e.config().seed).unwrap();
         assert_eq!(report.mode, DegradedMode::Healthy);
         assert_eq!(report.fallback_samples, 0);
         assert_eq!(report.used_samples, e.config().samples);
@@ -936,9 +912,21 @@ mod tests {
         let e = small_engine();
         let bad = Tensor::zeros(Shape::new(1, 2, 2));
         assert!(matches!(
-            e.predict_robust(&bad),
+            e.predict_robust_seeded(&bad, e.config().seed),
             Err(InferenceError::Input(_))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "MC-dropout run failed")]
+    fn predict_exact_panics_on_a_wrong_shaped_input_at_one_thread() {
+        let _ = engine_with_threads(1).predict_exact(&Tensor::zeros(Shape::new(1, 2, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "MC-dropout run failed")]
+    fn predict_exact_panics_on_a_wrong_shaped_input_at_two_threads() {
+        let _ = engine_with_threads(2).predict_exact(&Tensor::zeros(Shape::new(1, 2, 2)));
     }
 
     #[test]
@@ -955,7 +943,9 @@ mod tests {
             patience: 2,
             ..RobustConfig::default()
         };
-        let (pred, report) = e.predict_robust_with(&input, &rc).unwrap();
+        let (pred, report) = e
+            .predict_robust_controlled(&input, e.config().seed, &rc, &RunControl::none())
+            .unwrap();
         assert!(report.early_exit, "report: {report:?}");
         assert!(report.used_samples < report.requested_samples);
         assert!(report.used_samples >= rc.min_samples);

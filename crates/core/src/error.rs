@@ -5,7 +5,7 @@
 //! values, never as a process abort: construction problems become
 //! [`EngineError`], inference problems become [`InferenceError`], and
 //! recoverable anomalies are absorbed by
-//! [`crate::Engine::predict_robust`] and reported in its
+//! [`crate::Engine::predict_robust_controlled`] and reported in its
 //! [`crate::RobustReport`].
 
 use fbcnn_bayes::BayesError;
@@ -40,9 +40,10 @@ impl std::error::Error for EngineError {}
 
 /// Why an inference run failed outright.
 ///
-/// [`crate::Engine::predict_robust`] returns one of these only when no
-/// healthy prediction could be produced at all; recoverable trouble is
-/// instead degraded around and reported in [`crate::RobustReport`].
+/// [`crate::Engine::predict_robust_controlled`] returns one of these only
+/// when no healthy prediction could be produced at all; recoverable
+/// trouble is instead degraded around and reported in
+/// [`crate::RobustReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum InferenceError {
     /// The input tensor does not fit the network.
@@ -156,9 +157,6 @@ impl From<BayesError> for InferenceError {
             BayesError::AllSamplesFailed { requested } => {
                 InferenceError::AllSamplesFailed { requested }
             }
-            BayesError::Expired => InferenceError::Expired {
-                samples_completed: 0,
-            },
             other => InferenceError::Bayes(other),
         }
     }
@@ -207,12 +205,5 @@ mod tests {
         assert_eq!(e, InferenceError::AllSamplesFailed { requested: 9 });
         let e: InferenceError = BayesError::NoSamples.into();
         assert_eq!(e, InferenceError::Bayes(BayesError::NoSamples));
-        let e: InferenceError = BayesError::Expired.into();
-        assert_eq!(
-            e,
-            InferenceError::Expired {
-                samples_completed: 0
-            }
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! it: the exact BCNN and the skipping BCNN classify a held-out test set
 //! and their accuracies are compared.
 
-use crate::{Engine, EngineConfig, McDropout, PredictiveInference};
+use crate::{Engine, EngineConfig, McDropout, McRequest, PredictiveInference};
 use fbcnn_nn::data::SynthDigits;
 use fbcnn_nn::models::{ModelKind, ModelScale};
 use fbcnn_nn::train::{self, TrainConfig};
@@ -108,11 +108,15 @@ pub fn run_with_network(
     let mut exact_correct = 0usize;
     let mut skip_correct = 0usize;
     for s in &test {
-        let exact = McDropout::new(cfg.samples, cfg.seed).run_with_threads(
+        let request = McRequest {
+            input: &s.image,
+            seed: cfg.seed,
+        };
+        let exact = McDropout::expect_complete(McDropout::new(cfg.samples, cfg.seed).run_batch(
             engine.bayesian_network(),
-            &s.image,
+            &[request],
             cfg.threads,
-        );
+        ));
         if exact.class == s.label {
             exact_correct += 1;
         }

@@ -84,11 +84,13 @@ pub fn accuracy_loss(engine: &Engine, cfg: &ExpConfig) -> (f64, f64) {
 }
 
 fn exact_prediction(engine: &Engine, input: &Tensor, t: usize) -> crate::Prediction {
-    crate::McDropout::new(t, engine.config().seed).run_with_threads(
+    let seed = engine.config().seed;
+    let request = crate::McRequest { input, seed };
+    crate::McDropout::expect_complete(crate::McDropout::new(t, seed).run_batch(
         engine.bayesian_network(),
-        input,
+        &[request],
         engine.config().threads,
-    )
+    ))
 }
 
 fn fast_prediction(engine: &Engine, input: &Tensor, t: usize) -> crate::Prediction {

@@ -53,7 +53,7 @@ pub struct ExpConfig {
     pub seed: u64,
     /// Worker threads for exact MC-dropout passes (1 = sequential;
     /// results are identical either way, see
-    /// `fbcnn_bayes::McDropout::run_parallel`).
+    /// `fbcnn_bayes::McDropout::run_batch`).
     pub threads: usize,
 }
 

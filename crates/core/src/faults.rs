@@ -10,8 +10,8 @@
 //!
 //! The injector only *creates* faults. Detection and recovery live in
 //! [`fbcnn_nn::ActivationGuard`], [`fbcnn_predictor::ThresholdSet::validate`]
-//! and [`crate::Engine::predict_robust`]; `tests/fault_injection.rs`
-//! closes the loop.
+//! and [`crate::Engine::predict_robust_controlled`];
+//! `tests/fault_injection.rs` closes the loop.
 
 use crate::artifact::ModelArtifact;
 use crate::resilience::RequestSampleHook;
@@ -405,7 +405,7 @@ impl FaultInjector {
 
     /// A per-shard panic poison: while `armed`, every sample of every
     /// request whose *primary* route is `target` panics (a `"chaos:"`
-    /// payload, silenced by [`crate::chaos::SilencedChaosPanics`]).
+    /// payload, silenced by `chaos::SilencedChaosPanics`).
     ///
     /// The hook only sees request ids, so after supervision quarantines
     /// the shard the same ids keep arriving — served by a *healthy*

@@ -84,7 +84,7 @@ pub use fbcnn_accel::{
     RunReport, SkipMode, Workload,
 };
 pub use fbcnn_bayes::{
-    BayesError, BayesianNetwork, Brng, CancelToken, IsolatedRun, Lfsr32, McDropout, PartialRun,
+    BayesError, BayesianNetwork, Brng, CancelToken, IsolatedRun, Lfsr32, McDropout, McRequest,
     Prediction, SoftwareBernoulli,
 };
 pub use fbcnn_nn::{models, ActivationGuard, GuardPolicy, Network, NumericFault};

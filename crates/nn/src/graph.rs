@@ -313,7 +313,7 @@ impl Network {
 
     /// Evaluates one node given its resolved input tensors.
     ///
-    /// This is the "default executor" that [`Network::forward_with`]
+    /// This is the "default executor" that [`Network::try_forward_with`]
     /// callers can delegate to for nodes they do not override.
     ///
     /// # Panics
@@ -369,7 +369,10 @@ impl Network {
     ///
     /// Panics if `input` does not match [`Network::input_shape`].
     pub fn forward_full(&self, input: &Tensor) -> Vec<Tensor> {
-        self.forward_with(input, |net, node, inputs| net.eval_node(node, inputs))
+        self.try_forward_with(input, |net, node, inputs| {
+            Ok::<_, NnError>(net.eval_node(node, inputs))
+        })
+        .unwrap_or_else(|e| panic!("forward pass failed: {e}"))
     }
 
     /// Validates an input tensor against [`Network::input_shape`].
@@ -377,7 +380,7 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when the shapes differ — the
-    /// typed counterpart of the panic in [`Network::forward_with`].
+    /// check [`Network::try_forward_with`] runs first.
     pub fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
         if input.shape() == self.input_shape() {
             Ok(())
@@ -389,13 +392,17 @@ impl Network {
         }
     }
 
-    /// Runs the network with a custom per-node executor that may fail.
+    /// Runs the network with a custom per-node executor — the one graph
+    /// walker every forward pass is built on.
     ///
-    /// The fallible counterpart of [`Network::forward_with`]: input-shape
-    /// violations and wrong-shape executor outputs become
-    /// [`NnError::ShapeMismatch`] (converted into `E`), and the first
-    /// executor error aborts the pass. This is what the guarded forward
-    /// passes in `fbcnn-bayes` are built on.
+    /// `exec` receives the network, the node, and the already-computed
+    /// input tensors; it returns the node's output. Executors typically
+    /// delegate to [`Network::eval_node`] and post-process (dropout),
+    /// replace (skipping convolution) or screen (activation guard)
+    /// selected nodes. Input-shape violations and wrong-shape executor
+    /// outputs become [`NnError::ShapeMismatch`] (converted into `E`),
+    /// and the first executor error aborts the pass. Infallible callers
+    /// turn the error into a panic themselves.
     ///
     /// # Errors
     ///
@@ -425,49 +432,6 @@ impl Network {
             outputs.push(out);
         }
         Ok(outputs)
-    }
-
-    /// Runs the network with a custom per-node executor.
-    ///
-    /// `exec` receives the network, the node, and the already-computed
-    /// input tensors; it returns the node's output. Executors typically
-    /// delegate to [`Network::eval_node`] and post-process (dropout) or
-    /// replace (skipping convolution) selected nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match [`Network::input_shape`] or an
-    /// executor returns a tensor of the wrong shape.
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        mut exec: impl FnMut(&Network, &Node, &[&Tensor]) -> Tensor,
-    ) -> Vec<Tensor> {
-        assert_eq!(
-            input.shape(),
-            self.input_shape(),
-            "network expects input {}, got {}",
-            self.input_shape(),
-            input.shape()
-        );
-        let mut outputs: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let out = if matches!(node.op, Op::Input) {
-                exec(self, node, &[input])
-            } else {
-                let ins: Vec<&Tensor> = node.inputs.iter().map(|i| &outputs[i.0]).collect();
-                exec(self, node, &ins)
-            };
-            assert_eq!(
-                out.shape(),
-                self.shapes[node.id.0],
-                "executor returned wrong shape for node {} ({})",
-                node.id.0,
-                node.label
-            );
-            outputs.push(out);
-        }
-        outputs
     }
 
     /// Runs the network and returns the final logits.
@@ -692,13 +656,15 @@ mod tests {
     fn hook_can_mutate_outputs() {
         let net = tiny_net();
         let input = Tensor::full(Shape::new(1, 4, 4), 1.0);
-        let acts = net.forward_with(&input, |net, node, ins| {
-            let mut out = net.eval_node(node, ins);
-            if node.layer().is_some_and(Layer::is_conv) {
-                out.map_inplace(|_| 0.0);
-            }
-            out
-        });
+        let acts = net
+            .try_forward_with::<NnError>(&input, |net, node, ins| {
+                let mut out = net.eval_node(node, ins);
+                if node.layer().is_some_and(Layer::is_conv) {
+                    out.map_inplace(|_| 0.0);
+                }
+                Ok(out)
+            })
+            .unwrap();
         assert!(acts[1].iter().all(|&v| v == 0.0));
         // Downstream nodes see the zeroed tensor.
         assert!(acts[3].as_slice().iter().all(|&v| v == 0.0));

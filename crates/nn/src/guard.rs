@@ -24,7 +24,7 @@ pub enum GuardPolicy {
     /// tensor and the caller learns how many values were touched.
     Saturate,
     /// Report the fault like [`GuardPolicy::Fail`]; higher layers (the
-    /// engine's `predict_robust`) interpret it as "abandon this fast-path
+    /// engine's robust pipeline) interpret it as "abandon this fast-path
     /// sample and recompute it exactly".
     FallbackExact,
 }

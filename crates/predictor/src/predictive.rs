@@ -374,56 +374,58 @@ impl<'a> PredictiveInference<'a> {
         }
         let _conv_phase =
             fbcnn_telemetry::span_with("phase", || vec![("stage".into(), "conv".into())]);
-        let activations = net.forward_with(&self.prepared.input, |net, node, ins| {
-            let id = node.id();
-            let Some(conv) = node.layer().and_then(|l| l.as_conv()) else {
-                return net.eval_node(node, ins);
-            };
-            let map = skip_maps[id.0].as_ref().expect("conv nodes have skip maps");
-            if !self.shared.upstream_dropout[id.0] {
-                // First-layer shortcut: inputs are identical to the
-                // pre-inference, so reuse its outputs and just apply the
-                // dropout bits.
-                let mut out = self.prepared.pre.activations[id.0].clone();
-                out.apply_drop_mask(&map.dropped);
-                return out;
-            }
-            let out_shape = net.shape(id);
-            let mut out = Tensor::zeros(out_shape);
-            let (out_h, out_w) = (out_shape.height(), out_shape.width());
-            let plane = out_shape.plane();
-            let input = ins[0];
-            for m in 0..conv.out_channels() {
-                let base = m * plane;
-                let skipped = (base..base + plane).filter(|&i| map.is_skipped(i)).count();
-                // Both strategies accumulate in the same (bias, n, i, j)
-                // order, so they are bit-identical on kept neurons; pick
-                // whichever does less work. The dense path's better
-                // constants win only on lightly-skipped channels.
-                if skipped * 4 < plane {
-                    // Mostly kept: compute the dense channel, then force
-                    // the skipped neurons to zero.
-                    conv.forward_channel_into(input, m, out.channel_mut(m));
-                    for i in base..base + plane {
-                        if map.is_skipped(i) {
-                            out.set(i, 0.0);
-                        }
-                    }
-                } else {
-                    for r in 0..out_h {
-                        for c in 0..out_w {
-                            let i = base + r * out_w + c;
+        let activations = net
+            .try_forward_with(&self.prepared.input, |net, node, ins| {
+                let id = node.id();
+                let Some(conv) = node.layer().and_then(|l| l.as_conv()) else {
+                    return Ok::<_, NnError>(net.eval_node(node, ins));
+                };
+                let map = skip_maps[id.0].as_ref().expect("conv nodes have skip maps");
+                if !self.shared.upstream_dropout[id.0] {
+                    // First-layer shortcut: inputs are identical to the
+                    // pre-inference, so reuse its outputs and just apply the
+                    // dropout bits.
+                    let mut out = self.prepared.pre.activations[id.0].clone();
+                    out.apply_drop_mask(&map.dropped);
+                    return Ok(out);
+                }
+                let out_shape = net.shape(id);
+                let mut out = Tensor::zeros(out_shape);
+                let (out_h, out_w) = (out_shape.height(), out_shape.width());
+                let plane = out_shape.plane();
+                let input = ins[0];
+                for m in 0..conv.out_channels() {
+                    let base = m * plane;
+                    let skipped = (base..base + plane).filter(|&i| map.is_skipped(i)).count();
+                    // Both strategies accumulate in the same (bias, n, i, j)
+                    // order, so they are bit-identical on kept neurons; pick
+                    // whichever does less work. The dense path's better
+                    // constants win only on lightly-skipped channels.
+                    if skipped * 4 < plane {
+                        // Mostly kept: compute the dense channel, then force
+                        // the skipped neurons to zero.
+                        conv.forward_channel_into(input, m, out.channel_mut(m));
+                        for i in base..base + plane {
                             if map.is_skipped(i) {
-                                continue; // stays zero
+                                out.set(i, 0.0);
                             }
-                            let v = conv.forward_neuron(input, m, r, c);
-                            out.set(i, v);
+                        }
+                    } else {
+                        for r in 0..out_h {
+                            for c in 0..out_w {
+                                let i = base + r * out_w + c;
+                                if map.is_skipped(i) {
+                                    continue; // stays zero
+                                }
+                                let v = conv.forward_neuron(input, m, r, c);
+                                out.set(i, v);
+                            }
                         }
                     }
                 }
-            }
-            out
-        });
+                Ok(out)
+            })
+            .unwrap_or_else(|e| panic!("skipping pass failed: {e}"));
         SkippingRun {
             activations,
             skip_maps,

@@ -2,7 +2,7 @@
 //! persistence, timelines, the AlexNet model and the parallel MC runner.
 
 use fast_bcnn::{
-    io, synth_input, Engine, EngineConfig, FastBcnnSim, HwConfig, McDropout, SkipMode,
+    io, synth_input, Engine, EngineConfig, FastBcnnSim, HwConfig, McDropout, McRequest, SkipMode,
 };
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::models::{ModelKind, ModelScale};
@@ -95,8 +95,12 @@ fn parallel_mc_matches_sequential_on_alexnet() {
     let bnet = BayesianNetwork::new(ModelKind::AlexNet.build_scaled(9, ModelScale::TINY), 0.3);
     let input = synth_input(bnet.network().input_shape(), 2);
     let runner = McDropout::new(5, 77);
+    let request = [McRequest {
+        input: &input,
+        seed: 77,
+    }];
     assert_eq!(
         runner.run(&bnet, &input),
-        runner.run_parallel(&bnet, &input, 4)
+        McDropout::expect_complete(runner.run_batch(&bnet, &request, 4))
     );
 }

@@ -11,7 +11,7 @@
 use fast_bcnn::models::ModelKind;
 use fast_bcnn::{
     ActivationGuard, BayesError, Engine, EngineConfig, FaultInjector, GuardPolicy, InferenceError,
-    McDropout, RobustConfig, ThresholdError, ThresholdFault,
+    McDropout, McRequest, RobustConfig, RunControl, ThresholdError, ThresholdFault,
 };
 use fbcnn_tensor::Tensor;
 use std::sync::OnceLock;
@@ -46,7 +46,7 @@ fn nan_weight_poisoning_is_detected_as_a_typed_error() {
     assert!(flip.after.is_nan());
     let input = probe_input(&engine, 1);
     // Corrupt weights have no healthy fallback: detection, not recovery.
-    match engine.predict_robust(&input) {
+    match engine.predict_robust_seeded(&input, engine.config().seed) {
         Err(InferenceError::Numeric(_)) => {}
         other => panic!("NaN weights must be a numeric fault, got {other:?}"),
     }
@@ -62,7 +62,7 @@ fn random_weight_bit_flips_are_detected_or_recovered() {
         let flip = FaultInjector::new(seed)
             .flip_conv_weight_bit(engine.bayesian_network_mut().network_mut())
             .expect("lenet has conv weights");
-        match engine.predict_robust(&input) {
+        match engine.predict_robust_seeded(&input, engine.config().seed) {
             // Detected: the guard (or the sanity checks) refused the run.
             Err(InferenceError::Numeric(_) | InferenceError::AllSamplesFailed { .. }) => {
                 detected += 1
@@ -140,7 +140,7 @@ fn truncated_thresholds_are_detected_structurally() {
         ThresholdFault::Truncate,
     );
     let input = probe_input(&engine, 5);
-    match engine.predict_robust(&input) {
+    match engine.predict_robust_seeded(&input, engine.config().seed) {
         Err(InferenceError::Thresholds(ThresholdError::KernelCountMismatch { .. })) => {}
         other => panic!("expected a kernel-count mismatch, got {other:?}"),
     }
@@ -156,7 +156,7 @@ fn misaddressed_thresholds_are_detected_structurally() {
         ThresholdFault::Misaddress,
     );
     let input = probe_input(&engine, 6);
-    match engine.predict_robust(&input) {
+    match engine.predict_robust_seeded(&input, engine.config().seed) {
         Err(InferenceError::Thresholds(
             ThresholdError::NotAConvNode { .. } | ThresholdError::UnknownNode { .. },
         )) => {}
@@ -182,7 +182,7 @@ fn saturated_thresholds_are_recovered_within_tolerance() {
     );
     let input = probe_input(&engine, 7);
     let (pred, report) = engine
-        .predict_robust(&input)
+        .predict_robust_seeded(&input, engine.config().seed)
         .expect("saturation must be recovered, not fatal");
     assert!(ActivationGuard::probs_are_sane(&pred.mean));
     assert_eq!(report.used_samples, engine.config().samples);
@@ -204,16 +204,22 @@ fn killed_workers_lose_only_their_own_samples() {
     let engine = base_engine();
     let bnet = engine.bayesian_network();
     let input = probe_input(engine, 8);
-    let runner = McDropout::new(6, engine.config().seed);
+    let seed = engine.config().seed;
+    let runner = McDropout::new(6, seed);
+    let request = [McRequest {
+        input: &input,
+        seed,
+    }];
     let run = runner
-        .run_isolated_with_masks(bnet, &input, 2, |t| {
+        .run_with_masks(bnet, &request, 2, |_, t| {
             if t == 2 {
                 FaultInjector::sample_killing_masks(bnet)
             } else {
-                bnet.generate_masks(engine.config().seed, t)
+                bnet.generate_masks(seed, t)
             }
         })
-        .expect("five of six samples survive");
+        .expect("five of six samples survive")
+        .remove(0);
     assert_eq!(run.failed, vec![2]);
     assert!(ActivationGuard::probs_are_sane(&run.prediction.mean));
     // The survivors are bit-identical to a clean sequential run of the
@@ -228,7 +234,11 @@ fn all_workers_killed_is_a_typed_error() {
     let engine = base_engine();
     let bnet = engine.bayesian_network();
     let input = probe_input(engine, 9);
-    let result = McDropout::new(4, 1).run_isolated_with_masks(bnet, &input, 2, |_| {
+    let request = [McRequest {
+        input: &input,
+        seed: 1,
+    }];
+    let result = McDropout::new(4, 1).run_with_masks(bnet, &request, 2, |_, _| {
         FaultInjector::sample_killing_masks(bnet)
     });
     assert_eq!(result, Err(BayesError::AllSamplesFailed { requested: 4 }));
@@ -259,7 +269,7 @@ fn partial_fallback_under_fault_increments_the_fallback_counter() {
     let registry = std::sync::Arc::new(fast_bcnn::telemetry::Registry::new());
     let _guard = fast_bcnn::telemetry::install(registry.clone());
     let (_, report) = engine
-        .predict_robust_with(&input, &rc)
+        .predict_robust_controlled(&input, engine.config().seed, &rc, &RunControl::none())
         .expect("per-sample fallback recovers");
     assert_eq!(report.mode, fast_bcnn::DegradedMode::PartialFallback);
     assert!(report.fallback_samples > 0);
@@ -292,7 +302,7 @@ fn full_fallback_under_fault_is_counted_as_a_degraded_run() {
     let registry = std::sync::Arc::new(fast_bcnn::telemetry::Registry::new());
     let _guard = fast_bcnn::telemetry::install(registry.clone());
     let (_, report) = engine
-        .predict_robust_with(&input, &rc)
+        .predict_robust_controlled(&input, engine.config().seed, &rc, &RunControl::none())
         .expect("wholesale fallback recovers");
     assert_eq!(report.mode, fast_bcnn::DegradedMode::FullFallback);
     assert_eq!(report.fallback_samples, engine.config().samples);
@@ -322,7 +332,7 @@ fn strict_guard_policy_turns_recovery_into_detection() {
         guard: ActivationGuard::strict(),
         ..RobustConfig::default()
     };
-    match engine.predict_robust_with(&input, &rc) {
+    match engine.predict_robust_controlled(&input, engine.config().seed, &rc, &RunControl::none()) {
         Err(InferenceError::Numeric(_)) => {}
         other => panic!("strict guard must fail typed, got {other:?}"),
     }

@@ -1,6 +1,6 @@
 //! Property tests for the robustness layer: no randomly injected fault —
 //! corrupted dropout masks, arbitrary threshold values, flipped weight
-//! bits — may ever make `predict_fast` / `predict_robust` emit a `NaN`
+//! bits — may ever make `predict_fast` / `predict_robust_seeded` emit a `NaN`
 //! or an out-of-`[0, 1]` probability. Faults either surface as typed
 //! errors or degrade into predictions that still pass the probability
 //! sanity check.
@@ -71,7 +71,7 @@ proptest! {
         let input = fast_bcnn::synth_input(engine.network().input_shape(), input_seed);
         let (fast, _) = engine.predict_fast(&input);
         assert_probs_in_unit_interval(&fast.mean, "predict_fast mean");
-        match engine.predict_robust(&input) {
+        match engine.predict_robust_seeded(&input, engine.config().seed) {
             Ok((pred, report)) => {
                 assert_probs_in_unit_interval(&pred.mean, "predict_robust mean");
                 prop_assert!(report.used_samples > 0);
@@ -114,7 +114,7 @@ proptest! {
             .flip_conv_weight_bit(engine.bayesian_network_mut().network_mut())
             .expect("lenet has conv weights");
         let input = fast_bcnn::synth_input(engine.network().input_shape(), input_seed);
-        match engine.predict_robust(&input) {
+        match engine.predict_robust_seeded(&input, engine.config().seed) {
             Ok((pred, _)) => assert_probs_in_unit_interval(&pred.mean, "flipped-bit robust mean"),
             Err(
                 InferenceError::Numeric(_) | InferenceError::AllSamplesFailed { .. },
