@@ -1,6 +1,5 @@
 //! Criterion benches for the convolution hot path: the naive reference
-//! loop vs the im2col + cache-blocked workspace kernel vs the
-//! channel-parallel variant.
+//! loop vs the im2col + cache-blocked workspace kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fbcnn_nn::{Conv2d, Workspace};
@@ -29,10 +28,6 @@ fn bench_geometry(c: &mut Criterion, label: &str, conv: Conv2d, in_dim: usize) {
     let mut ws = Workspace::new();
     group.bench_function("im2col_blocked", |b| {
         b.iter(|| black_box(conv.forward_ws(black_box(&input), &mut ws)));
-    });
-    let mut ws_par = Workspace::new();
-    group.bench_function("parallel_4t", |b| {
-        b.iter(|| black_box(conv.forward_parallel(black_box(&input), 4, &mut ws_par)));
     });
     group.finish();
 }

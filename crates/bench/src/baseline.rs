@@ -2,7 +2,8 @@
 //!
 //! `bench_check --baseline <file>` compares the *headline ratios* of a
 //! freshly produced record against a committed baseline and fails on a
-//! regression beyond [`DEFAULT_TOLERANCE`]. Ratios are dimensionless
+//! regression beyond [`DEFAULT_TOLERANCE`] or on a floored ratio the
+//! record no longer reports. Ratios are dimensionless
 //! speedups, so they compare meaningfully across hosts in a way raw
 //! nanosecond timings never would.
 //!
@@ -106,15 +107,16 @@ impl RatioDiff {
 }
 
 /// Diffs the headline ratios of `current` against `baseline`, failing on
-/// the first ratio that regressed by more than `tolerance` (relative).
-/// Ratios present in only one record are ignored — a baseline from an
-/// older record shape must not spuriously fail — but the two records
-/// must share at least one ratio for the diff to mean anything.
+/// the first ratio that regressed by more than `tolerance` (relative) or
+/// that the baseline floors but `current` no longer reports — deleting a
+/// kernel must not silently drop its floor. A `null` baseline entry is
+/// not a ratio, so it sets no floor; ratios only `current` reports are
+/// ignored.
 ///
 /// # Errors
 ///
-/// Returns a message naming the regressed ratio (or the absence of any
-/// comparable one).
+/// Returns a message naming the regressed or vanished ratio (or the
+/// absence of any comparable one).
 pub fn diff_ratios(
     current: &Value,
     baseline: &Value,
@@ -123,8 +125,10 @@ pub fn diff_ratios(
     let current = headline_ratios(current);
     let baseline = headline_ratios(baseline);
     let mut compared = Vec::new();
+    let mut vanished = None;
     for (key, &base) in &baseline {
         let Some(&now) = current.get(key) else {
+            vanished.get_or_insert((key, base));
             continue;
         };
         let diff = RatioDiff {
@@ -147,6 +151,12 @@ pub fn diff_ratios(
             "the records share no headline ratios (speedup/speedup_fast/speedup_parallel)"
                 .to_string(),
         );
+    }
+    if let Some((key, base)) = vanished {
+        return Err(format!(
+            "{key} vanished: the baseline floors it at {base:.3}x but the current record \
+             does not report it (set it to null in the baseline to drop the floor)"
+        ));
     }
     Ok(compared)
 }
@@ -220,10 +230,24 @@ mod tests {
     }
 
     #[test]
-    fn extra_baseline_only_ratios_are_ignored() {
+    fn a_ratio_missing_from_the_current_record_fails_naming_it() {
         let base = parse(r#"{"conv": {"speedup_fast": 4.0, "speedup_parallel": 9.0}}"#);
-        let now = parse(r#"{"conv": {"speedup_fast": 4.0}}"#);
+        for now in [
+            r#"{"conv": {"speedup_fast": 4.0}}"#,
+            r#"{"conv": {"speedup_fast": 4.0, "speedup_parallel": null}}"#,
+        ] {
+            let err = diff_ratios(&parse(now), &base, 0.15).unwrap_err();
+            assert!(err.contains("conv.speedup_parallel"), "unhelpful: {err}");
+            assert!(err.contains("vanished"), "unhelpful: {err}");
+        }
+    }
+
+    #[test]
+    fn null_baseline_entries_and_current_only_ratios_set_no_floor() {
+        let base = parse(r#"{"conv": {"speedup_fast": 4.0, "speedup_parallel": null}}"#);
+        let now = parse(r#"{"conv": {"speedup_fast": 4.0}, "mc": {"speedup_fast": 2.0}}"#);
         let compared = diff_ratios(&now, &base, 0.15).unwrap();
         assert_eq!(compared.len(), 1);
+        assert_eq!(compared[0].key, "conv.speedup_fast");
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! `bench_check --baseline <file> <BENCH_*.json>` instead diffs the
 //! record's headline ratios (see [`fbcnn_bench::baseline`]) against a
-//! committed baseline and fails on a > 15 % regression. This mode
+//! committed baseline and fails on a > 15 % regression or on a ratio
+//! the baseline floors but the record no longer reports. This mode
 //! accepts any record carrying ratios, including the schema-less
 //! `BENCH_hotpath.json`, so no schema validation runs.
 //!

@@ -1,10 +1,11 @@
 //! Before/after wall-clock measurements for the word-parallel counting
-//! lanes and the blocked, multithreaded convolution hot path.
+//! lanes, the blocked convolution kernel and the MC-dropout runner.
 //!
 //! Emits `BENCH_hotpath.json` (override the path with `--json`); `--t`
-//! sets the MC sample count and `--threads` the worker count used by the
-//! parallel variants. The committed reference numbers were produced with
-//! `--t 30 --threads 4`.
+//! sets the MC sample count and `--threads` the worker count of the
+//! parallel MC runner. Counting and conv have no threaded variant, so
+//! their `parallel_ns` and `speedup_parallel` are `null`. The committed
+//! reference numbers were produced with `--t 30 --threads 4`.
 
 use fbcnn_bayes::{BayesianNetwork, McDropout, McRequest};
 use fbcnn_nn::models;
@@ -41,8 +42,8 @@ struct HotpathReport {
     /// Counting has no threaded variant, so `parallel` is absent.
     counting: Timing,
     /// One Conv2d forward, conv2-of-LeNet-5 geometry. `reference` is the
-    /// naive loop, `fast` the im2col + blocked kernel, `parallel` the
-    /// channel-parallel variant.
+    /// naive loop, `fast` the im2col + blocked kernel. Conv has no
+    /// threaded variant, so `parallel` is absent.
     conv: Timing,
     /// Full MC-dropout inference on B-LeNet-5. `reference` is T naive
     /// dense passes, `fast` the workspace runner, `parallel` the
@@ -101,18 +102,14 @@ fn main() {
     });
     let counting = timing(scalar_ns, packed_ns, None);
 
-    // -- conv forward: naive vs im2col vs channel-parallel --------------
+    // -- conv forward: naive vs im2col + blocked ------------------------
     let input = Tensor::from_fn(Shape::new(6, 14, 14), |ch, r, c| {
         ((ch * 31 + r * 7 + c) % 13) as f32 / 6.0 - 1.0
     });
     let naive_ns = time_ns(reps_kernel, || conv.forward(&input));
     let mut ws = Workspace::new();
     let im2col_ns = time_ns(reps_kernel, || conv.forward_ws(&input, &mut ws));
-    let mut ws_par = Workspace::new();
-    let par_ns = time_ns(reps_kernel, || {
-        conv.forward_parallel(&input, threads, &mut ws_par)
-    });
-    let conv_timing = timing(naive_ns, im2col_ns, Some(par_ns));
+    let conv_timing = timing(naive_ns, im2col_ns, None);
 
     // -- MC-dropout end to end on B-LeNet-5 ------------------------------
     let t = args.cfg.t;

@@ -19,6 +19,13 @@ const COL_BLOCK: usize = 256;
 /// the output buffer, and the *zero neuron* concept is defined on the
 /// post-ReLU value.
 ///
+/// There are two kernels. [`Conv2d::forward`] is the naive reference loop
+/// (with [`Conv2d::forward_channel_preactivation`] beside it for
+/// initialization). [`Conv2d::forward_ws`] is the product kernel — im2col
+/// plus a cache-blocked accumulation — and runs every dense pass and every
+/// skipping sample: the skipping inference in `fbcnn-predictor` computes
+/// the whole layer with it and then zeroes the neurons its skip map names.
+///
 /// # Examples
 ///
 /// ```
@@ -186,7 +193,7 @@ impl Conv2d {
         let out_shape = self.output_shape(input.shape());
         let mut out = Tensor::zeros(out_shape);
         for m in 0..self.out_channels {
-            self.forward_channel_into(input, m, out.channel_mut(m));
+            self.forward_channel_impl(input, m, out.channel_mut(m), self.relu);
         }
         out
     }
@@ -203,18 +210,6 @@ impl Conv2d {
     /// Panics if `plane.len()` is not the output plane size.
     pub fn forward_channel_preactivation(&self, input: &Tensor, m: usize, plane: &mut [f32]) {
         self.forward_channel_impl(input, m, plane, false);
-    }
-
-    /// Computes one output channel `m` into `plane` (length `R·C`).
-    ///
-    /// Exposed so the skipping inference in `fbcnn-predictor` can compute
-    /// individual kept neurons with identical arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plane.len()` is not the output plane size.
-    pub fn forward_channel_into(&self, input: &Tensor, m: usize, plane: &mut [f32]) {
-        self.forward_channel_impl(input, m, plane, self.relu);
     }
 
     fn forward_channel_impl(&self, input: &Tensor, m: usize, plane: &mut [f32], relu: bool) {
@@ -283,48 +278,6 @@ impl Conv2d {
         for m in 0..self.out_channels {
             self.blocked_channel(patches, m, out.channel_mut(m), self.relu);
         }
-        out
-    }
-
-    /// Runs the convolution with output channels fanned out over `threads`
-    /// worker threads (capped at [`Conv2d::out_channels`]).
-    ///
-    /// The im2col patch matrix is built once in `ws` and shared read-only
-    /// by all workers; each worker owns a disjoint chunk of output planes,
-    /// so the result is identical to [`Conv2d::forward_ws`] regardless of
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero, if a worker thread panics, or if the
-    /// input shape is incompatible (see [`Conv2d::output_shape`]).
-    pub fn forward_parallel(&self, input: &Tensor, threads: usize, ws: &mut Workspace) -> Tensor {
-        assert!(threads > 0, "thread count must be non-zero");
-        let out_shape = self.output_shape(input.shape());
-        let plane = out_shape.plane();
-        let patches = ws.im2col(self.macs_per_neuron() * plane);
-        self.fill_im2col(input, out_shape, patches);
-        let mut out = Tensor::zeros(out_shape);
-        let threads = threads.min(self.out_channels);
-        if threads == 1 {
-            for m in 0..self.out_channels {
-                self.blocked_channel(patches, m, out.channel_mut(m), self.relu);
-            }
-            return out;
-        }
-        let chunk = self.out_channels.div_ceil(threads);
-        let patches = &*patches;
-        crossbeam::thread::scope(|scope| {
-            for (worker, planes) in out.as_mut_slice().chunks_mut(chunk * plane).enumerate() {
-                let first_m = worker * chunk;
-                scope.spawn(move |_| {
-                    for (dm, out_plane) in planes.chunks_mut(plane).enumerate() {
-                        self.blocked_channel(patches, first_m + dm, out_plane, self.relu);
-                    }
-                });
-            }
-        })
-        .expect("conv worker thread panicked");
         out
     }
 
@@ -413,36 +366,6 @@ impl Conv2d {
             }
         }
     }
-
-    /// Computes a single output neuron `(m, r, c)` with the same
-    /// arithmetic as [`Conv2d::forward`] — the reference the skipping
-    /// inference must reproduce bit-for-bit.
-    pub fn forward_neuron(&self, input: &Tensor, m: usize, r: usize, c: usize) -> f32 {
-        let in_shape = input.shape();
-        let (in_h, in_w) = (in_shape.height(), in_shape.width());
-        let mut acc = self.bias[m];
-        for n in 0..self.in_channels {
-            let in_plane = input.channel(n);
-            for i in 0..self.k {
-                let in_r = (r * self.stride + i) as isize - self.pad as isize;
-                if in_r < 0 || in_r as usize >= in_h {
-                    continue;
-                }
-                for j in 0..self.k {
-                    let in_c = (c * self.stride + j) as isize - self.pad as isize;
-                    if in_c < 0 || in_c as usize >= in_w {
-                        continue;
-                    }
-                    acc += self.weight(m, n, i, j) * in_plane[in_r as usize * in_w + in_c as usize];
-                }
-            }
-        }
-        if self.relu && acc < 0.0 {
-            0.0
-        } else {
-            acc
-        }
-    }
 }
 
 #[cfg(test)]
@@ -517,25 +440,6 @@ mod tests {
         assert!(out.channel(1).iter().all(|&v| v == -2.0));
     }
 
-    #[test]
-    fn forward_neuron_matches_forward() {
-        let mut conv = Conv2d::new(3, 4, 3, 1, 1, true);
-        // Deterministic pseudo-random weights.
-        let mut state = 11u64;
-        for v in conv.weights_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *v = ((state >> 33) as f32 / u32::MAX as f32 * 2.0 - 1.0) * 0.5;
-        }
-        let input = Tensor::from_fn(Shape::new(3, 5, 5), |ch, r, c| {
-            ((ch * 31 + r * 7 + c * 3) % 9) as f32 / 4.0
-        });
-        let full = conv.forward(&input);
-        let out_shape = full.shape();
-        for (m, r, c) in out_shape.coords() {
-            assert_eq!(conv.forward_neuron(&input, m, r, c), full[(m, r, c)]);
-        }
-    }
-
     fn seeded_conv(
         in_c: usize,
         out_c: usize,
@@ -600,23 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_parallel_matches_forward_for_any_thread_count() {
-        let conv = seeded_conv(3, 8, 3, 1, 1, true, 42);
-        let input = Tensor::from_fn(Shape::new(3, 9, 9), |ch, r, c| {
-            ((ch * 13 + r * 5 + c) % 7) as f32 / 3.0 - 1.0
-        });
-        let reference = conv.forward(&input);
-        let mut ws = Workspace::new();
-        for threads in [1, 2, 3, 8, 16] {
-            assert_eq!(
-                conv.forward_parallel(&input, threads, &mut ws),
-                reference,
-                "threads={threads} diverged"
-            );
-        }
-    }
-
-    #[test]
     fn workspace_is_reused_across_layers() {
         let big = seeded_conv(2, 2, 3, 1, 1, false, 7);
         let small = seeded_conv(1, 1, 1, 1, 0, false, 8);
@@ -625,17 +512,6 @@ mod tests {
         let cap = ws.im2col_capacity();
         let _ = small.forward_ws(&Tensor::full(Shape::new(1, 4, 4), 1.0), &mut ws);
         assert_eq!(ws.im2col_capacity(), cap, "smaller layer must not shrink");
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be non-zero")]
-    fn zero_threads_rejected() {
-        let conv = Conv2d::new(1, 1, 1, 1, 0, false);
-        let _ = conv.forward_parallel(
-            &Tensor::zeros(Shape::new(1, 2, 2)),
-            0,
-            &mut Workspace::new(),
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn arb_conv() -> impl Strategy<Value = (Conv2d, Tensor)> {
 }
 
 /// Like [`arb_conv`], but additionally varies stride, fused ReLU and the
-/// bias — the dimensions the fast conv paths must reproduce exactly.
+/// bias — the dimensions the blocked kernel must reproduce exactly.
 fn arb_conv_fast() -> impl Strategy<Value = (Conv2d, Tensor)> {
     (
         (1usize..4, 1usize..6, 0usize..3),
@@ -66,20 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn forward_parallel_matches_naive_forward(
-        (conv, input) in arb_conv_fast(),
-        threads in 1usize..5,
-    ) {
-        // Workers own disjoint output channels, so thread count must not
-        // change a single bit of the result.
-        let mut ws = Workspace::new();
-        prop_assert_eq!(
-            conv.forward_parallel(&input, threads, &mut ws),
-            conv.forward(&input)
-        );
-    }
-
-    #[test]
     fn convolution_is_linear_in_the_input((conv, input) in arb_conv(), scale in -2.0f32..2.0) {
         // With zero bias and no ReLU, conv(s·x) == s·conv(x).
         let scaled = input.map(|v| v * scale);
@@ -98,17 +84,6 @@ proptest! {
         let mut b = single.clone();
         b.add_assign(&single);
         prop_assert!(a.max_abs_diff(&b) < 1e-3);
-    }
-
-    #[test]
-    fn forward_neuron_agrees_with_forward((conv, input) in arb_conv()) {
-        let full = conv.forward(&input);
-        let s = full.shape();
-        // Spot-check a handful of coordinates.
-        for &i in &[0usize, s.len() / 3, s.len() / 2, s.len() - 1] {
-            let (m, r, c) = s.unravel(i);
-            prop_assert_eq!(conv.forward_neuron(&input, m, r, c), full.at(i));
-        }
     }
 
     #[test]

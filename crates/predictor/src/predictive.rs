@@ -2,7 +2,7 @@ use crate::skipmap::{build_skip_maps, total_stats, SkipMap, SkipStats};
 use crate::{PolarityIndicators, ThresholdError, ThresholdSet};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::{BayesianNetwork, SampleRun};
-use fbcnn_nn::NnError;
+use fbcnn_nn::{NnError, Workspace};
 use fbcnn_tensor::{BitMask, Tensor};
 use std::fmt;
 use std::sync::Arc;
@@ -181,8 +181,15 @@ impl PreparedInput {
 ///   dropout mask directly;
 /// * for every other convolution layer, computes skip decisions from the
 ///   resolved input dropout mask, the indicator bits and the thresholds,
-///   writes zero for skipped neurons and computes kept neurons with
-///   arithmetic identical to the dense pass.
+///   computes the layer with the blocked kernel
+///   ([`fbcnn_nn::Conv2d::forward_ws`], one [`Workspace`] per sample) and
+///   then writes zero for every neuron the skip map names.
+///
+/// On the CPU this saves no multiply-accumulates: skipped neurons are
+/// computed and then discarded. On B-VGG16 dense-plus-mask measured
+/// faster than a kernel that gathers only kept columns; a skip-aware
+/// kernel replaces it only by beating it. The MAC savings of skipping
+/// are modelled by the cycle simulators in `fbcnn-accel`.
 ///
 /// On neurons it computes, the result is bit-for-bit equal to
 /// [`BayesianNetwork::forward_sample`]; the only deviations are
@@ -374,6 +381,7 @@ impl<'a> PredictiveInference<'a> {
         }
         let _conv_phase =
             fbcnn_telemetry::span_with("phase", || vec![("stage".into(), "conv".into())]);
+        let mut ws = Workspace::new();
         let activations = net
             .try_forward_with(&self.prepared.input, |net, node, ins| {
                 let id = node.id();
@@ -389,40 +397,11 @@ impl<'a> PredictiveInference<'a> {
                     out.apply_drop_mask(&map.dropped);
                     return Ok(out);
                 }
-                let out_shape = net.shape(id);
-                let mut out = Tensor::zeros(out_shape);
-                let (out_h, out_w) = (out_shape.height(), out_shape.width());
-                let plane = out_shape.plane();
-                let input = ins[0];
-                for m in 0..conv.out_channels() {
-                    let base = m * plane;
-                    let skipped = (base..base + plane).filter(|&i| map.is_skipped(i)).count();
-                    // Both strategies accumulate in the same (bias, n, i, j)
-                    // order, so they are bit-identical on kept neurons; pick
-                    // whichever does less work. The dense path's better
-                    // constants win only on lightly-skipped channels.
-                    if skipped * 4 < plane {
-                        // Mostly kept: compute the dense channel, then force
-                        // the skipped neurons to zero.
-                        conv.forward_channel_into(input, m, out.channel_mut(m));
-                        for i in base..base + plane {
-                            if map.is_skipped(i) {
-                                out.set(i, 0.0);
-                            }
-                        }
-                    } else {
-                        for r in 0..out_h {
-                            for c in 0..out_w {
-                                let i = base + r * out_w + c;
-                                if map.is_skipped(i) {
-                                    continue; // stays zero
-                                }
-                                let v = conv.forward_neuron(input, m, r, c);
-                                out.set(i, v);
-                            }
-                        }
-                    }
-                }
+                // The software skip engine: kept neurons come from the
+                // dense blocked kernel, which accumulates in the exact
+                // pass's order; skipped neurons are then written as zero.
+                let mut out = conv.forward_ws(ins[0], &mut ws);
+                out.apply_drop_mask(&map.skip);
                 Ok(out)
             })
             .unwrap_or_else(|e| panic!("skipping pass failed: {e}"));

@@ -1,10 +1,10 @@
 //! Property-based tests for the prediction machinery.
 
 use fbcnn_bayes::BayesianNetwork;
-use fbcnn_nn::{models, Conv2d};
+use fbcnn_nn::{init, models, Conv2d, Dense, Network, NetworkBuilder};
 use fbcnn_predictor::{
     build_skip_maps, count_dropped_nw_inputs, count_dropped_nw_inputs_scalar, PolarityIndicators,
-    ThresholdOptimizer, ThresholdSet,
+    PredictiveInference, ThresholdOptimizer, ThresholdSet,
 };
 use fbcnn_tensor::{BitMask, Shape, Tensor};
 use proptest::prelude::*;
@@ -190,16 +190,105 @@ proptest! {
     }
 
     #[test]
-    fn never_predict_thresholds_do_nothing(seed in 0u64..30) {
-        let bnet = BayesianNetwork::new(models::lenet5(seed), 0.4);
-        let input = Tensor::from_fn(bnet.network().input_shape(), |_, r, c| {
-            ((r + c + seed as usize) % 6) as f32 / 6.0
-        });
+    fn never_predict_thresholds_do_nothing(seed in 0u64..30, branchy in any::<bool>(), dim in 7usize..12) {
+        // Every zoo conv has stride 1; the branchy network adds stride-2
+        // padded convs, a 1×1 conv and a concat.
+        let net = if branchy { branchy_net(seed, dim) } else { models::lenet5(seed) };
+        let bnet = BayesianNetwork::new(net, 0.4);
+        let input = smooth_input(&bnet, seed);
         let thresholds = ThresholdSet::never_predict(bnet.network().len());
-        let pe = fbcnn_predictor::PredictiveInference::new(&bnet, &input, thresholds);
+        let pe = PredictiveInference::new(&bnet, &input, thresholds);
         let masks = bnet.generate_masks(seed, 1);
         let run = pe.run_sample(&masks);
         let exact = bnet.forward_sample(&input, &masks);
-        prop_assert_eq!(run.logits(), exact.logits());
+        for (node, (a, b)) in run.activations.iter().zip(&exact.activations).enumerate() {
+            prop_assert_eq!(bits(a), bits(b), "node {} diverged", node);
+        }
     }
+}
+
+/// A small network outside the zoo's geometry: a stride-2 padded stem,
+/// a 1×1 conv and a 3×3 conv branching off it, their concat, and a
+/// stride-2 padded conv behind the concat.
+fn branchy_net(seed: u64, dim: usize) -> Network {
+    let mut b = NetworkBuilder::named("branchy", Shape::new(3, dim, dim));
+    let x = b.input();
+    let stem = b
+        .layer(x, Conv2d::new(3, 8, 3, 2, 1, true), "stem")
+        .unwrap();
+    let narrow = b
+        .layer(stem, Conv2d::new(8, 8, 1, 1, 0, true), "narrow")
+        .unwrap();
+    let wide = b
+        .layer(stem, Conv2d::new(8, 4, 3, 1, 1, true), "wide")
+        .unwrap();
+    let cat = b.concat(&[narrow, wide], "cat").unwrap();
+    let down = b
+        .layer(cat, Conv2d::new(12, 8, 3, 2, 1, true), "down")
+        .unwrap();
+    let side = dim.div_ceil(2).div_ceil(2);
+    b.layer(down, Dense::new(8 * side * side, 5, false), "fc")
+        .unwrap();
+    let mut net = b.build().unwrap();
+    init::calibrated(&mut net, seed);
+    net
+}
+
+fn smooth_input(bnet: &BayesianNetwork, seed: u64) -> Tensor {
+    Tensor::from_fn(bnet.network().input_shape(), |ch, r, c| {
+        ((r + c + ch + seed as usize) % 6) as f32 / 6.0
+    })
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn calibrated_thresholds_on_the_branchy_net_zero_skips_and_keep_computed_neurons() {
+    let bnet = BayesianNetwork::new(branchy_net(3, 11), 0.3);
+    let input = smooth_input(&bnet, 3);
+    let thresholds = ThresholdOptimizer {
+        samples: 4,
+        ..ThresholdOptimizer::default()
+    }
+    .optimize(&bnet, &input, 3);
+    let pe = PredictiveInference::new(&bnet, &input, thresholds);
+    let convs = bnet.network().conv_nodes();
+    let mut predicted = 0;
+    for t in 0..4 {
+        let masks = bnet.generate_masks(9, t);
+        let run = pe.run_sample(&masks);
+        let exact = bnet.forward_sample(&input, &masks);
+        for &node in &convs {
+            let map = run.skip_maps[node.0].as_ref().unwrap();
+            predicted += map.stats().predicted;
+            let act = &run.activations[node.0];
+            for i in map.skip.iter_set() {
+                assert_eq!(
+                    act.at(i).to_bits(),
+                    0.0f32.to_bits(),
+                    "sample {t}: skipped {i}"
+                );
+            }
+        }
+        // The stem takes the first-layer shortcut, so the second conv
+        // reads exactly the exact pass's input: its computed neurons must
+        // match bit for bit.
+        for &node in convs.iter().take(2) {
+            let map = run.skip_maps[node.0].as_ref().unwrap();
+            let (a, b) = (&run.activations[node.0], &exact.activations[node.0]);
+            for i in (0..a.len()).filter(|&i| !map.is_skipped(i)) {
+                assert_eq!(
+                    a.at(i).to_bits(),
+                    b.at(i).to_bits(),
+                    "sample {t}: neuron {i}"
+                );
+            }
+        }
+    }
+    assert!(
+        predicted > 0,
+        "calibration predicted nothing; the case is vacuous"
+    );
 }
