@@ -16,7 +16,9 @@
 //! * [`BayesianNetwork`] — a [`fbcnn_nn::Network`] with dropout attached
 //!   to every convolution node;
 //! * [`McDropout`] — the T-sample runner producing a
-//!   [`Prediction`] with uncertainty metrics.
+//!   [`Prediction`] with uncertainty metrics;
+//! * [`pool::drain`] — the one worker pool every batch (of samples or of
+//!   requests) drains through.
 //!
 //! # Examples
 //!
@@ -40,6 +42,7 @@ mod lfsr;
 pub mod mask;
 mod mc;
 pub mod metrics;
+pub mod pool;
 mod seed;
 
 pub use bnet::{BayesianNetwork, SampleRun};

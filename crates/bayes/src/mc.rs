@@ -3,7 +3,6 @@ use crate::{metrics, BayesError, BayesianNetwork};
 use fbcnn_nn::Workspace;
 use fbcnn_tensor::{stats, Tensor};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The Monte-Carlo-dropout runner: `T` stochastic forward passes over the
 /// same input (paper §II-B).
@@ -135,8 +134,8 @@ impl McDropout {
     }
 
     /// The MC-dropout runner. Every request's `T` samples form one
-    /// flattened list of `(request, sample)` units, split into contiguous
-    /// chunks across `threads` workers — one worker may finish request
+    /// flattened list of `(request, sample)` units drained by `threads`
+    /// workers of [`crate::pool::drain`] — one worker may finish request
     /// A's tail while another starts request B, so the batch drains
     /// without per-request barriers. Each worker reuses one [`Workspace`]
     /// across its units; with one worker the run stays on the caller's
@@ -144,11 +143,12 @@ impl McDropout {
     /// rows are reassembled in order, so the result does not depend on
     /// `threads`.
     ///
-    /// Every unit executes inside `catch_unwind`: one poisoned sample
-    /// (corrupted mask, malformed tensor, any library panic) is dropped
-    /// from its request's summary and named in [`IsolatedRun::failed`]
-    /// instead of aborting the batch. Surviving rows are bit-identical to
-    /// a clean run's. A custom `masks_for` is how the fault-injection
+    /// Every unit executes inside the pool's `catch_unwind`: one poisoned
+    /// sample (corrupted mask, malformed tensor, any library panic) is
+    /// dropped from its request's summary and named in
+    /// [`IsolatedRun::failed`] instead of aborting the batch, and its
+    /// worker's [`Workspace`] is rebuilt. Surviving rows are bit-identical
+    /// to a clean run's. A custom `masks_for` is how the fault-injection
     /// harness poisons individual samples.
     ///
     /// # Errors
@@ -183,47 +183,18 @@ impl McDropout {
         });
         let units = requests.len() * self.t;
         fbcnn_telemetry::counter_add("mc_samples", &[("path", "exact")], units as u64);
-        let run_units = |base: usize, slots: &mut [Option<Vec<f32>>]| {
-            let mut ws = Workspace::new();
-            for (offset, slot) in slots.iter_mut().enumerate() {
-                let (r, t) = ((base + offset) / self.t, (base + offset) % self.t);
-                let _sample = fbcnn_telemetry::span_with("mc_sample", || {
-                    vec![
-                        ("request".into(), r.to_string()),
-                        ("sample".into(), t.to_string()),
-                    ]
-                });
-                *slot = catch_unwind(AssertUnwindSafe(|| {
-                    let masks = masks_for(r, t);
-                    let run = bnet.forward_sample_ws(requests[r].input, &masks, &mut ws);
-                    stats::softmax(run.logits())
-                }))
-                .ok();
-                if slot.is_none() {
-                    // The panic may have torn the scratch buffers; start
-                    // the next unit clean.
-                    ws = Workspace::new();
-                }
-            }
-        };
-        let mut rows: Vec<Option<Vec<f32>>> = vec![None; units];
-        let threads = threads.min(units);
-        if threads == 1 {
-            run_units(0, &mut rows);
-        } else {
-            let chunk_len = units.div_ceil(threads);
-            let run_units = &run_units;
-            let scope_result = crossbeam::thread::scope(|scope| {
-                for (worker, chunk) in rows.chunks_mut(chunk_len).enumerate() {
-                    scope.spawn(move |_| run_units(worker * chunk_len, chunk));
-                }
+        let rows = crate::pool::drain(units, threads, Workspace::new, |ws, unit| {
+            let (r, t) = (unit / self.t, unit % self.t);
+            let _sample = fbcnn_telemetry::span_with("mc_sample", || {
+                vec![
+                    ("request".into(), r.to_string()),
+                    ("sample".into(), t.to_string()),
+                ]
             });
-            // Units never unwind past catch_unwind, so the scope itself
-            // cannot fail; keep a typed path anyway instead of unwrapping.
-            if scope_result.is_err() {
-                return Err(BayesError::AllSamplesFailed { requested: units });
-            }
-        }
+            let masks = masks_for(r, t);
+            let run = bnet.forward_sample_ws(requests[r].input, &masks, ws);
+            stats::softmax(run.logits())
+        });
         let mut rows = rows.into_iter();
         let mut out = Vec::with_capacity(requests.len());
         for _ in requests {

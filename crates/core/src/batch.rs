@@ -10,9 +10,9 @@
 //!   input fingerprint, so a repeated input skips the dropout-free pass
 //!   and goes straight to mask generation;
 //! * conv scratch buffers come from a [`Workspace`] pool, one checkout
-//!   per worker for the whole batch;
-//! * requests are drained work-stealing style by `threads` crossbeam
-//!   workers, and the exact-path companion
+//!   per request;
+//! * requests are drained by `threads` workers of the one worker pool,
+//!   [`fbcnn_bayes::pool::drain`], and the exact-path companion
 //!   ([`BatchEngine::predict_exact_batch`]) interleaves the individual
 //!   `(request, sample)` units across workers via
 //!   [`McDropout::run_batch`].
@@ -38,7 +38,6 @@ use fbcnn_nn::Workspace;
 use fbcnn_predictor::{PredictiveInference, PredictorShared, PreparedInput};
 use fbcnn_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -112,6 +111,19 @@ pub struct BatchOutcome {
     /// The prediction (or the request's private failure — one bad
     /// request never fails its batch-mates).
     pub result: Result<(Prediction, RobustReport), InferenceError>,
+}
+
+impl BatchOutcome {
+    /// An outcome for `req` that never reached the pipeline.
+    pub(crate) fn failed(req: &BatchRequest, engine_seed: u64, error: InferenceError) -> Self {
+        Self {
+            id: req.id,
+            seed: req.resolved_seed(engine_seed),
+            queue_wait_ns: 0,
+            cache_hit: false,
+            result: Err(error),
+        }
+    }
 }
 
 /// The outcome of one [`BatchEngine::run_batch`] call.
@@ -233,73 +245,36 @@ impl BatchEngine {
         fbcnn_telemetry::counter_add("batch_requests", &[], requests.len() as u64);
         fbcnn_telemetry::histogram_record("batch_depth", &[], requests.len() as f64);
         let submitted = Instant::now();
-        let mut slots: Vec<Option<BatchOutcome>> = Vec::new();
-        slots.resize_with(requests.len(), || None);
-        if !requests.is_empty() {
-            let workers = self.cfg.threads.min(requests.len());
-            let next = AtomicUsize::new(0);
-            let next_ref = &next;
-            // Direct-indexed result slots: each worker owns the requests
-            // it steals, communicated back through the join handles.
-            let scope_result = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(move |_| {
-                            let mut ws = self.checkout_workspace();
-                            let mut served: Vec<(usize, BatchOutcome)> = Vec::new();
-                            loop {
-                                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                                let Some(req) = requests.get(i) else { break };
-                                let queue_wait_ns = submitted.elapsed().as_nanos() as u64;
-                                fbcnn_telemetry::histogram_record(
-                                    "batch_queue_wait_ns",
-                                    &[],
-                                    queue_wait_ns as f64,
-                                );
-                                let ctl = RunControl::none();
-                                served.push((i, self.serve_one(req, queue_wait_ns, &mut ws, &ctl)));
-                            }
-                            self.return_workspace(ws);
-                            served
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .filter_map(|h| h.join().ok())
-                    .flatten()
-                    .collect::<Vec<_>>()
-            });
-            if let Ok(done) = scope_result {
-                for (i, outcome) in done {
-                    slots[i] = Some(outcome);
-                }
-            }
-        }
+        let slots = fbcnn_bayes::pool::drain(
+            requests.len(),
+            self.cfg.threads,
+            || (),
+            |_, i| {
+                let queue_wait_ns = submitted.elapsed().as_nanos() as u64;
+                fbcnn_telemetry::histogram_record("batch_queue_wait_ns", &[], queue_wait_ns as f64);
+                self.serve_one(&requests[i], queue_wait_ns, &RunControl::none())
+            },
+        );
         let mut cache_hits = 0usize;
         let mut cache_misses = 0usize;
         let outcomes: Vec<BatchOutcome> = slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
-                // A lost worker (panic past the per-request isolation)
+                // A unit lost to a panic past the per-request isolation
                 // surfaces as a typed per-request failure, not a poisoned
                 // batch.
-                let outcome = slot.unwrap_or_else(|| BatchOutcome {
-                    id: requests[i].id,
-                    seed: requests[i].resolved_seed(self.engine.config().seed),
-                    queue_wait_ns: 0,
-                    cache_hit: false,
-                    result: Err(InferenceError::AllSamplesFailed {
-                        requested: self.engine.config().samples,
-                    }),
-                });
-                if outcome.result.is_ok() || outcome.queue_wait_ns > 0 {
-                    if outcome.cache_hit {
-                        cache_hits += 1;
-                    } else {
-                        cache_misses += 1;
-                    }
+                let Some(outcome) = slot else {
+                    let config = self.engine.config();
+                    let lost = InferenceError::AllSamplesFailed {
+                        requested: config.samples,
+                    };
+                    return BatchOutcome::failed(&requests[i], config.seed, lost);
+                };
+                if outcome.cache_hit {
+                    cache_hits += 1;
+                } else {
+                    cache_misses += 1;
                 }
                 outcome
             })
@@ -352,50 +327,43 @@ impl BatchEngine {
     /// entry point. With [`RunControl::none`] this is exactly one
     /// [`BatchEngine::run_batch`] slot.
     pub fn run_request(&self, req: &BatchRequest, ctl: &RunControl) -> BatchOutcome {
-        let mut ws = self.checkout_workspace();
-        let outcome = self.serve_one(req, 0, &mut ws, ctl);
-        self.return_workspace(ws);
-        outcome
+        self.serve_one(req, 0, ctl)
     }
 
     /// Serves one request: validation, cached pre-inference, then the
-    /// exact staged pipeline of [`Engine::predict_robust_controlled`].
-    fn serve_one(
-        &self,
-        req: &BatchRequest,
-        queue_wait_ns: u64,
-        ws: &mut Workspace,
-        ctl: &RunControl,
-    ) -> BatchOutcome {
+    /// exact staged pipeline of [`Engine::predict_robust_controlled`] on
+    /// a workspace checked out of the pool.
+    fn serve_one(&self, req: &BatchRequest, queue_wait_ns: u64, ctl: &RunControl) -> BatchOutcome {
         let _span = fbcnn_telemetry::span("batch_request");
-        let seed = req.resolved_seed(self.engine.config().seed);
-        let mut outcome = BatchOutcome {
-            id: req.id,
-            seed,
-            queue_wait_ns,
-            cache_hit: false,
-            result: Err(InferenceError::AllSamplesFailed {
-                requested: self.engine.config().samples,
-            }),
-        };
+        let engine_seed = self.engine.config().seed;
         if let Err(e) = self
             .engine
             .check_request(&req.input, self.shared.thresholds())
         {
-            outcome.result = Err(e);
-            return outcome;
+            return BatchOutcome {
+                queue_wait_ns,
+                ..BatchOutcome::failed(req, engine_seed, e)
+            };
         }
+        let seed = req.resolved_seed(engine_seed);
         let (prepared, cache_hit) = self.prepare(&req.input);
-        outcome.cache_hit = cache_hit;
         let fast = PredictiveInference::from_parts(
             self.engine.bayesian_network(),
             Arc::clone(&self.shared),
             prepared,
         );
-        outcome.result =
+        let mut ws = self.checkout_workspace();
+        let result =
             self.engine
-                .robust_core(&fast, &req.input, seed, &self.cfg.robust, ws, ctl);
-        outcome
+                .robust_core(&fast, &req.input, seed, &self.cfg.robust, &mut ws, ctl);
+        self.return_workspace(ws);
+        BatchOutcome {
+            id: req.id,
+            seed,
+            queue_wait_ns,
+            cache_hit,
+            result,
+        }
     }
 
     /// Looks the input's pre-inference up by fingerprint, computing and

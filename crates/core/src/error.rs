@@ -82,11 +82,11 @@ pub enum InferenceError {
         /// The configured queue capacity.
         capacity: usize,
     },
-    /// The worker serving this request hung past the watchdog timeout on
-    /// every attempt; the work unit was requeued `requeues` times before
-    /// the batch gave up on it.
+    /// The worker thread serving this request's attempt hung past the
+    /// watchdog timeout every time; the attempt was requeued `requeues`
+    /// times before the serving loop gave up on it.
     WorkerHung {
-        /// Times the watchdog requeued the unit before abandoning it.
+        /// Times the watchdog requeued the attempt before abandoning it.
         requeues: u32,
     },
 }

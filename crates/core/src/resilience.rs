@@ -27,13 +27,16 @@
 //! * **Admission control** — a bounded queue with a [`ShedPolicy`];
 //!   rejected requests carry a typed [`InferenceError::Overloaded`],
 //!   degraded ones run with a smaller sample budget.
-//! * **Watchdog** — hung work units are requeued (bounded times) to a
-//!   fresh worker instead of hanging the batch; an abandoned unit carries
-//!   a typed [`InferenceError::WorkerHung`]. The same watchdog guards the
-//!   single-request paths ([`ResilientBatchEngine::run_request`] /
-//!   `run_request_classed`): with a timeout configured, each attempt runs
-//!   on a watched worker thread, so a wedged engine can never hang a
-//!   network connection.
+//! * **Watchdog** — with a timeout configured, each execution attempt
+//!   runs on a detached worker thread; a hung attempt is requeued
+//!   (bounded times, the budget spanning retries) to a fresh thread and
+//!   finally abandoned with a typed [`InferenceError::WorkerHung`]. One
+//!   watchdog guards every path: [`ResilientBatchEngine::run_batch`]
+//!   drains its admitted requests through the one worker pool
+//!   ([`fbcnn_bayes::pool::drain`]) into the same per-request serving
+//!   loop as [`ResilientBatchEngine::run_request`] /
+//!   `run_request_classed`, so a wedged engine can neither hang a batch
+//!   nor a network connection, and every request is counted once.
 //!
 //! Every decision is exported as a `breaker_*` / `shed_*` / `retry_*` /
 //! `deadline_*` / `watchdog_*` telemetry counter (see
@@ -47,8 +50,8 @@ use crate::ledger::Ledger;
 use fbcnn_bayes::{CancelToken, Prediction};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A per-sample hook fired inside the panic-isolated sample execution —
@@ -491,14 +494,14 @@ pub struct ResilienceConfig {
     pub shed_policy: ShedPolicy,
     /// Sample-budget floor for [`ShedPolicy::DegradeToFewerSamples`].
     pub min_degraded_samples: usize,
-    /// Watchdog timeout for a claimed-but-unfinished work unit; `None`
-    /// disables the watchdog (and its extra worker threads). With a
-    /// timeout set, single-request serving also runs each attempt on a
-    /// watched worker thread — hung attempts are requeued and finally
+    /// Watchdog timeout for one execution attempt; `None` disables the
+    /// watchdog (attempts then run on the serving thread). With a
+    /// timeout set, every attempt — batched or single — runs on a
+    /// watched worker thread: hung attempts are requeued and finally
     /// abandoned instead of blocking the caller.
     pub watchdog_timeout: Option<Duration>,
-    /// Times a hung unit is requeued before it is abandoned with a typed
-    /// [`InferenceError::WorkerHung`].
+    /// Times a request's hung attempts are requeued (across retries)
+    /// before it is abandoned with a typed [`InferenceError::WorkerHung`].
     pub max_requeues: u32,
     /// Deadline class this engine serves — the `class` label on the
     /// `request_latency_ns` / `request_outcomes` telemetry the SLO
@@ -582,7 +585,7 @@ pub struct ResilientOutcome {
     pub outcome: BatchOutcome,
     /// Execution attempts (1 on the happy path; 0 for shed requests).
     pub attempts: u32,
-    /// Watchdog requeues this request's unit went through.
+    /// Watchdog requeues this request's attempts went through.
     pub requeues: u32,
     /// Whether the final attempt was forced onto the exact path by an
     /// open breaker.
@@ -609,6 +612,24 @@ pub struct ResilientOutcome {
 }
 
 impl ResilientOutcome {
+    /// A request that never executed: shed by admission control, or lost
+    /// with its pool unit.
+    fn unserved(outcome: BatchOutcome, shed: bool) -> Self {
+        Self {
+            outcome,
+            attempts: 0,
+            requeues: 0,
+            forced_exact: false,
+            probe: false,
+            shed,
+            retry_exhausted: false,
+            degraded_to: None,
+            expired: false,
+            backoff_total: Duration::ZERO,
+            elapsed_ns: 0,
+        }
+    }
+
     /// The prediction/report pair, when the request produced one.
     pub fn result(&self) -> &Result<(Prediction, RobustReport), InferenceError> {
         &self.outcome.result
@@ -638,10 +659,25 @@ pub struct ResilienceTotals {
     pub forced_exact: u64,
     /// Half-open probe attempts.
     pub probes: u64,
-    /// Watchdog requeues across all units.
+    /// Watchdog requeues across all requests.
     pub requeues: u64,
-    /// Units abandoned as [`InferenceError::WorkerHung`].
+    /// Requests abandoned as [`InferenceError::WorkerHung`].
     pub abandoned: u64,
+}
+
+impl ResilienceTotals {
+    /// Adds one request's serving-loop counts (everything but the
+    /// admission-control fields).
+    fn absorb(&mut self, request: &ResilienceTotals) {
+        self.expired += request.expired;
+        self.retries += request.retries;
+        self.retry_successes += request.retry_successes;
+        self.retry_exhausted += request.retry_exhausted;
+        self.forced_exact += request.forced_exact;
+        self.probes += request.probes;
+        self.requeues += request.requeues;
+        self.abandoned += request.abandoned;
+    }
 }
 
 /// The outcome of one [`ResilientBatchEngine::run_batch`] call.
@@ -916,9 +952,10 @@ impl ResilientBatchEngine {
     }
 
     /// Serves a batch under full resilience: admission control first,
-    /// then per-request deadline/retry/breaker serving on the worker
-    /// pool (with watchdog requeue when configured). Outcomes land in
-    /// offered order; a request never fails its batch-mates.
+    /// then the admitted requests drain through the worker pool, each
+    /// one served exactly like [`ResilientBatchEngine::run_request`]
+    /// (deadline, retry, breaker, per-attempt watchdog). Outcomes land
+    /// in offered order; a request never fails its batch-mates.
     pub fn run_batch(&self, requests: &[BatchRequest]) -> ResilientBatchReport {
         let start = Instant::now();
         let _span = fbcnn_telemetry::span_with("resilient_batch", || {
@@ -978,28 +1015,14 @@ impl ResilientBatchEngine {
         let mut admitted: Vec<usize> = Vec::with_capacity(n);
         for (i, req) in requests.iter().enumerate() {
             if shed_flags[i] {
-                let out = ResilientOutcome {
-                    outcome: BatchOutcome {
-                        id: req.id,
-                        seed: req.resolved_seed(engine_seed),
-                        queue_wait_ns: 0,
-                        cache_hit: false,
-                        result: Err(InferenceError::Overloaded {
-                            queue_depth: n,
-                            capacity,
-                        }),
-                    },
-                    attempts: 0,
-                    requeues: 0,
-                    forced_exact: false,
-                    probe: false,
-                    shed: true,
-                    retry_exhausted: false,
-                    degraded_to: None,
-                    expired: false,
-                    backoff_total: Duration::ZERO,
-                    elapsed_ns: 0,
+                let overloaded = InferenceError::Overloaded {
+                    queue_depth: n,
+                    capacity,
                 };
+                let out = ResilientOutcome::unserved(
+                    BatchOutcome::failed(req, engine_seed, overloaded),
+                    true,
+                );
                 note_outcome(inner, &out, None);
                 slots[i] = Some(out);
                 totals.shed += 1;
@@ -1009,17 +1032,26 @@ impl ResilientBatchEngine {
         }
         totals.degraded = if cap.is_some() { n - totals.shed } else { 0 };
 
-        let threads = inner.batch.batch_config().threads.max(1);
-        if threads == 1 && inner.cfg.watchdog_timeout.is_none() {
-            // Sequential serving: the deterministic path (golden chaos
-            // schedules run here — breaker transitions are a pure
-            // function of the request order).
-            for &i in &admitted {
-                let out = serve_with_resilience(inner, &requests[i], cap, &mut totals, None, true);
-                slots[i] = Some(out);
+        // One pool for every thread count; with one worker it runs on
+        // this thread in offered order, the deterministic schedule the
+        // golden chaos walk pins (breaker transitions are a pure function
+        // of the request order).
+        let served = fbcnn_bayes::pool::drain(
+            admitted.len(),
+            inner.batch.batch_config().threads,
+            || (),
+            |_, k| {
+                let mut local = ResilienceTotals::default();
+                let out =
+                    serve_with_resilience(inner, &requests[admitted[k]], cap, &mut local, None);
+                (out, local)
+            },
+        );
+        for (k, unit) in served.into_iter().enumerate() {
+            if let Some((out, local)) = unit {
+                totals.absorb(&local);
+                slots[admitted[k]] = Some(out);
             }
-        } else {
-            self.drain_with_workers(requests, &admitted, cap, &mut slots, &mut totals);
         }
 
         let outcomes: Vec<ResilientOutcome> = slots
@@ -1027,29 +1059,16 @@ impl ResilientBatchEngine {
             .enumerate()
             .map(|(i, slot)| {
                 slot.unwrap_or_else(|| {
-                    let out = ResilientOutcome {
-                        // Unreachable: every admitted slot is written by
-                        // the pool (or its abandonment path) and every
-                        // shed slot above; typed fallback kept instead
-                        // of a panic.
-                        outcome: BatchOutcome {
-                            id: requests[i].id,
-                            seed: requests[i].resolved_seed(engine_seed),
-                            queue_wait_ns: 0,
-                            cache_hit: false,
-                            result: Err(InferenceError::WorkerHung { requeues: 0 }),
-                        },
-                        attempts: 0,
-                        requeues: 0,
-                        forced_exact: false,
-                        probe: false,
-                        shed: false,
-                        retry_exhausted: false,
-                        degraded_to: None,
-                        expired: false,
-                        backoff_total: Duration::ZERO,
-                        elapsed_ns: 0,
-                    };
+                    // A panic escaped this request's serving loop and
+                    // lost its unit: the request is abandoned like a
+                    // hung one, typed and counted once.
+                    fbcnn_telemetry::counter_add("watchdog_abandoned", &[], 1);
+                    totals.abandoned += 1;
+                    let lost = InferenceError::WorkerHung { requeues: 0 };
+                    let out = ResilientOutcome::unserved(
+                        BatchOutcome::failed(&requests[i], engine_seed, lost),
+                        false,
+                    );
                     note_outcome(inner, &out, None);
                     out
                 })
@@ -1069,7 +1088,7 @@ impl ResilientBatchEngine {
     /// the sequential form of [`ResilientBatchEngine::run_batch`].
     pub fn run_request(&self, req: &BatchRequest) -> ResilientOutcome {
         let mut totals = ResilienceTotals::default();
-        serve_with_resilience(&self.inner, req, None, &mut totals, None, true)
+        serve_with_resilience(&self.inner, req, None, &mut totals, None)
     }
 
     /// [`ResilientBatchEngine::run_request`] under a per-request
@@ -1082,232 +1101,29 @@ impl ResilientBatchEngine {
         class: Option<&RequestClass>,
     ) -> ResilientOutcome {
         let mut totals = ResilienceTotals::default();
-        serve_with_resilience(&self.inner, req, None, &mut totals, class, true)
-    }
-
-    /// The worker pool with watchdog: detached workers drain a shared
-    /// unit queue; the main thread waits on a condvar and, when a
-    /// watchdog timeout is configured, requeues units claimed longer ago
-    /// than the timeout (bumping their epoch so the stale worker's
-    /// eventual write is discarded) and spawns a replacement worker.
-    fn drain_with_workers(
-        &self,
-        requests: &[BatchRequest],
-        admitted: &[usize],
-        cap: Option<usize>,
-        slots: &mut [Option<ResilientOutcome>],
-        totals: &mut ResilienceTotals,
-    ) {
-        struct SlotState {
-            epoch: u32,
-            claimed_at: Option<Instant>,
-            requeues: u32,
-            done: Option<(ResilientOutcome, ResilienceTotals)>,
-        }
-        struct Pool {
-            requests: Vec<BatchRequest>,
-            /// admitted index (into `requests`) + epoch pairs.
-            queue: Mutex<VecDeque<(usize, u32)>>,
-            slots: Mutex<Vec<SlotState>>,
-            done: Condvar,
-            completed: AtomicUsize,
-            cap: Option<usize>,
-        }
-
-        let inner = &self.inner;
-        let pool = Arc::new(Pool {
-            requests: admitted.iter().map(|&i| requests[i].clone()).collect(),
-            queue: Mutex::new((0..admitted.len()).map(|u| (u, 0)).collect()),
-            slots: Mutex::new(
-                (0..admitted.len())
-                    .map(|_| SlotState {
-                        epoch: 0,
-                        claimed_at: None,
-                        requeues: 0,
-                        done: None,
-                    })
-                    .collect(),
-            ),
-            done: Condvar::new(),
-            completed: AtomicUsize::new(0),
-            cap,
-        });
-
-        fn spawn_worker(inner: &Arc<Inner>, pool: &Arc<Pool>) {
-            let inner = Arc::clone(inner);
-            let pool = Arc::clone(pool);
-            // Detached on purpose: a hung worker must not be joinable —
-            // run_batch returns without it once the watchdog abandons
-            // its unit. The thread holds only Arcs; it dies quietly.
-            std::thread::spawn(move || loop {
-                let unit = match pool.queue.lock() {
-                    Ok(mut q) => q.pop_front(),
-                    Err(_) => None,
-                };
-                let Some((u, epoch)) = unit else { break };
-                {
-                    let Ok(mut slots) = pool.slots.lock() else {
-                        break;
-                    };
-                    let s = &mut slots[u];
-                    if s.done.is_some() || s.epoch != epoch {
-                        continue; // stale or already served elsewhere
-                    }
-                    s.claimed_at = Some(Instant::now());
-                }
-                let mut local = ResilienceTotals::default();
-                // `watched: false`: this pool already watches the unit
-                // at the unit level; nesting a per-attempt watchdog
-                // would race the two requeue budgets.
-                let out = serve_with_resilience(
-                    &inner,
-                    &pool.requests[u],
-                    pool.cap,
-                    &mut local,
-                    None,
-                    false,
-                );
-                let Ok(mut slots) = pool.slots.lock() else {
-                    break;
-                };
-                let s = &mut slots[u];
-                if s.done.is_none() && s.epoch == epoch {
-                    let mut out = out;
-                    out.requeues = s.requeues;
-                    s.done = Some((out, local));
-                    pool.completed.fetch_add(1, Ordering::Release);
-                    pool.done.notify_all();
-                }
-            });
-        }
-
-        let workers = inner
-            .batch
-            .batch_config()
-            .threads
-            .max(1)
-            .min(admitted.len().max(1));
-        for _ in 0..workers {
-            spawn_worker(inner, &pool);
-        }
-
-        let tick = inner
-            .cfg
-            .watchdog_timeout
-            .map(|t| (t / 4).max(Duration::from_millis(5)))
-            .unwrap_or(Duration::from_millis(50));
-        let mut guard = match pool.slots.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        while pool.completed.load(Ordering::Acquire) < admitted.len() {
-            guard = match pool.done.wait_timeout(guard, tick) {
-                Ok((g, _)) => g,
-                Err(p) => p.into_inner().0,
-            };
-            let Some(timeout) = inner.cfg.watchdog_timeout else {
-                continue;
-            };
-            let mut respawn = 0usize;
-            for (u, s) in guard.iter_mut().enumerate() {
-                let hung = s.done.is_none()
-                    && s.claimed_at
-                        .is_some_and(|claimed| claimed.elapsed() >= timeout);
-                if !hung {
-                    continue;
-                }
-                s.epoch += 1;
-                s.claimed_at = None;
-                s.requeues += 1;
-                if s.requeues > inner.cfg.max_requeues {
-                    // Give up: typed abandonment, batch completes.
-                    fbcnn_telemetry::counter_add("watchdog_abandoned", &[], 1);
-                    let req = &pool.requests[u];
-                    let local = ResilienceTotals {
-                        abandoned: 1,
-                        ..ResilienceTotals::default()
-                    };
-                    let abandoned = ResilientOutcome {
-                        outcome: BatchOutcome {
-                            id: req.id,
-                            seed: req.resolved_seed(inner.batch.engine().config().seed),
-                            queue_wait_ns: 0,
-                            cache_hit: false,
-                            result: Err(InferenceError::WorkerHung {
-                                requeues: s.requeues - 1,
-                            }),
-                        },
-                        attempts: 0,
-                        requeues: s.requeues - 1,
-                        forced_exact: false,
-                        probe: false,
-                        shed: false,
-                        retry_exhausted: false,
-                        degraded_to: pool.cap,
-                        expired: false,
-                        backoff_total: Duration::ZERO,
-                        elapsed_ns: 0,
-                    };
-                    note_outcome(inner, &abandoned, None);
-                    s.done = Some((abandoned, local));
-                    pool.completed.fetch_add(1, Ordering::Release);
-                } else {
-                    fbcnn_telemetry::counter_add("watchdog_requeues", &[], 1);
-                    if let Ok(mut q) = pool.queue.lock() {
-                        q.push_back((u, s.epoch));
-                    }
-                    respawn += 1;
-                }
-            }
-            drop(guard);
-            for _ in 0..respawn {
-                // The old worker may be wedged for good; a fresh one
-                // picks the requeued unit up.
-                spawn_worker(inner, &pool);
-            }
-            guard = match pool.slots.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-        }
-        let mut finished = guard;
-        for (k, s) in finished.iter_mut().enumerate() {
-            if let Some((out, local)) = s.done.take() {
-                totals.expired += local.expired;
-                totals.retries += local.retries;
-                totals.retry_successes += local.retry_successes;
-                totals.retry_exhausted += local.retry_exhausted;
-                totals.forced_exact += local.forced_exact;
-                totals.probes += local.probes;
-                totals.requeues += u64::from(out.requeues);
-                totals.abandoned += local.abandoned;
-                slots[admitted[k]] = Some(out);
-            }
-        }
+        serve_with_resilience(&self.inner, req, None, &mut totals, class)
     }
 }
 
 /// One attempt of `req`, under the worker watchdog when one is
-/// configured and the caller is not already running on the watched
-/// pool (`watched`): the attempt executes on a detached worker thread
-/// and, past `watchdog_timeout`, is requeued to a freshly spawned
-/// worker (the wedged worker's eventual result lands on a closed
-/// channel and is discarded). After `max_requeues` requeues the unit
-/// is abandoned with a typed [`InferenceError::WorkerHung`] — the
-/// signal the registry supervisor reads as shard abandonment.
-/// `requeues` accumulates across a request's retry attempts: like the
-/// deadline token, the requeue budget spans retries.
+/// configured: the attempt executes on a detached worker thread and,
+/// past `watchdog_timeout`, is requeued to a freshly spawned worker (the
+/// wedged worker's eventual result lands on a closed channel and is
+/// discarded). After `max_requeues` requeues the attempt is abandoned
+/// with a typed [`InferenceError::WorkerHung`] — the signal the registry
+/// supervisor reads as shard abandonment. `requeues` accumulates across
+/// a request's retry attempts: like the deadline token, the requeue
+/// budget spans retries. Without a timeout the attempt runs on the
+/// calling thread.
 fn run_attempt(
     inner: &Inner,
     req: &BatchRequest,
     ctl: &RunControl,
-    watched: bool,
     requeues: &mut u32,
     totals: &mut ResilienceTotals,
 ) -> BatchOutcome {
-    let timeout = match inner.cfg.watchdog_timeout {
-        Some(t) if watched => t,
-        _ => return inner.batch.run_request(req, ctl),
+    let Some(timeout) = inner.cfg.watchdog_timeout else {
+        return inner.batch.run_request(req, ctl);
     };
     loop {
         let (tx, rx) = mpsc::channel();
@@ -1330,15 +1146,10 @@ fn run_attempt(
                 if *requeues >= inner.cfg.max_requeues {
                     fbcnn_telemetry::counter_add("watchdog_abandoned", &[], 1);
                     totals.abandoned += 1;
-                    return BatchOutcome {
-                        id: req.id,
-                        seed: req.resolved_seed(inner.batch.engine().config().seed),
-                        queue_wait_ns: 0,
-                        cache_hit: false,
-                        result: Err(InferenceError::WorkerHung {
-                            requeues: *requeues,
-                        }),
+                    let hung = InferenceError::WorkerHung {
+                        requeues: *requeues,
                     };
+                    return BatchOutcome::failed(req, inner.batch.engine().config().seed, hung);
                 }
                 *requeues += 1;
                 totals.requeues += 1;
@@ -1349,19 +1160,15 @@ fn run_attempt(
 }
 
 /// The per-request serving loop: deadline token, breaker routing, typed
-/// retry with seeded backoff. Updates `totals` as it goes. `watched`
-/// arms the per-attempt watchdog (see [`run_attempt`]); the batch
-/// worker pool passes `false` because [`drain_with_workers`] already
-/// watches its units at the unit level.
-///
-/// [`drain_with_workers`]: ResilientBatchEngine::drain_with_workers
+/// retry with seeded backoff, each attempt under the watchdog of
+/// [`run_attempt`]. Updates `totals` as it goes. Every request — batched
+/// or single — is served here, so it records exactly one outcome.
 fn serve_with_resilience(
     inner: &Inner,
     req: &BatchRequest,
     cap: Option<usize>,
     totals: &mut ResilienceTotals,
     class: Option<&RequestClass>,
-    watched: bool,
 ) -> ResilientOutcome {
     let served_at = Instant::now();
     let cfg = &inner.cfg;
@@ -1408,7 +1215,7 @@ fn serve_with_resilience(
             max_samples: cap,
             sample_hook: hook,
         };
-        let outcome = run_attempt(inner, req, &ctl, watched, &mut requeues, totals);
+        let outcome = run_attempt(inner, req, &ctl, &mut requeues, totals);
 
         // A canary trip on a non-forced attempt is the fast path
         // misbehaving even though the request succeeded (exactly).
@@ -1512,8 +1319,18 @@ mod tests {
     }
 
     fn resilient(cfg: ResilienceConfig) -> ResilientBatchEngine {
+        resilient_on(1, cfg)
+    }
+
+    fn resilient_on(threads: usize, cfg: ResilienceConfig) -> ResilientBatchEngine {
         ResilientBatchEngine::new(
-            BatchEngine::new(small_engine(), BatchConfig::default()),
+            BatchEngine::new(
+                small_engine(),
+                BatchConfig {
+                    threads,
+                    ..BatchConfig::default()
+                },
+            ),
             cfg,
         )
     }
@@ -1650,22 +1467,25 @@ mod tests {
     fn no_fault_run_batch_is_bit_identical_to_sequential_calls() {
         let engine = small_engine();
         let reqs = requests(&engine, 4);
-        let layer = ResilientBatchEngine::new(
-            BatchEngine::new(engine.clone(), BatchConfig::default()),
-            ResilienceConfig::default(),
-        );
-        let report = layer.run_batch(&reqs);
-        report.reconcile().unwrap();
-        assert!(report.transitions.is_empty());
-        for (req, o) in reqs.iter().zip(&report.outcomes) {
-            assert_eq!(o.attempts, 1);
-            assert!(!o.expired && !o.shed && !o.forced_exact);
-            let (pred, rep) = o.outcome.result.as_ref().unwrap();
-            let (seq_pred, seq_rep) = engine
-                .predict_robust_seeded(&req.input, o.outcome.seed)
-                .unwrap();
-            assert_eq!(pred, &seq_pred, "request {} diverged", req.id);
-            assert_eq!(rep, &seq_rep);
+        for threads in [1, 2, 4] {
+            let layer = resilient_on(threads, ResilienceConfig::default());
+            let report = layer.run_batch(&reqs);
+            report.reconcile().unwrap();
+            assert!(report.transitions.is_empty());
+            for (req, o) in reqs.iter().zip(&report.outcomes) {
+                assert_eq!(o.attempts, 1);
+                assert!(!o.expired && !o.shed && !o.forced_exact);
+                let (pred, rep) = o.outcome.result.as_ref().unwrap();
+                let (seq_pred, seq_rep) = engine
+                    .predict_robust_seeded(&req.input, o.outcome.seed)
+                    .unwrap();
+                assert_eq!(
+                    pred, &seq_pred,
+                    "request {} diverged at {threads} threads",
+                    req.id
+                );
+                assert_eq!(rep, &seq_rep);
+            }
         }
     }
 
@@ -1834,57 +1654,80 @@ mod tests {
 
     #[test]
     fn watchdog_requeues_a_hung_unit_to_a_fresh_worker() {
-        let hung_once = Arc::new(AtomicU32::new(0));
-        let flag = Arc::clone(&hung_once);
-        let layer = resilient(ResilienceConfig {
-            watchdog_timeout: Some(Duration::from_millis(40)),
-            max_requeues: 2,
-            ..ResilienceConfig::default()
-        })
-        .with_request_sample_hook(Arc::new(move |_id, _attempt, s| {
-            if s == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
-                // First execution wedges well past the watchdog timeout.
-                std::thread::sleep(Duration::from_millis(400));
+        for threads in [1, 2] {
+            let hung_once = Arc::new(AtomicU32::new(0));
+            let flag = Arc::clone(&hung_once);
+            let layer = resilient_on(
+                threads,
+                ResilienceConfig {
+                    watchdog_timeout: Some(Duration::from_millis(40)),
+                    max_requeues: 2,
+                    ..ResilienceConfig::default()
+                },
+            )
+            .with_request_sample_hook(Arc::new(move |id, _attempt, s| {
+                if id == 0 && s == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
+                    // Request 0's first execution wedges well past the
+                    // watchdog timeout; request 1 runs clean beside it.
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+            }));
+            let engine = layer.batch().engine().clone();
+            let reqs = requests(&engine, 2);
+            let report = layer.run_batch(&reqs);
+            report.reconcile().unwrap();
+            let requeues: Vec<u32> = report.outcomes.iter().map(|o| o.requeues).collect();
+            assert_eq!(
+                requeues,
+                vec![1, 0],
+                "one watchdog requeue at {threads} threads"
+            );
+            for (req, o) in reqs.iter().zip(&report.outcomes) {
+                assert_eq!(o.attempts, 1, "a requeue is not a retry");
+                let (pred, _) = o.outcome.result.as_ref().unwrap();
+                let (seq, _) = engine
+                    .predict_robust_seeded(&req.input, o.outcome.seed)
+                    .unwrap();
+                assert_eq!(pred, &seq, "requeued unit still bit-identical");
             }
-        }));
-        let engine = layer.batch().engine().clone();
-        let reqs = requests(&engine, 1);
-        let report = layer.run_batch(&reqs);
-        report.reconcile().unwrap();
-        let o = &report.outcomes[0];
-        assert_eq!(o.requeues, 1, "one watchdog requeue");
-        let (pred, _) = o.outcome.result.as_ref().unwrap();
-        let (seq, _) = engine
-            .predict_robust_seeded(&reqs[0].input, o.outcome.seed)
-            .unwrap();
-        assert_eq!(pred, &seq, "requeued unit still bit-identical");
+        }
     }
 
     #[test]
     fn watchdog_abandons_a_permanently_hung_unit() {
-        let layer = resilient(ResilienceConfig {
-            watchdog_timeout: Some(Duration::from_millis(30)),
-            max_requeues: 1,
-            ..ResilienceConfig::default()
-        })
-        .with_request_sample_hook(Arc::new(move |_id, _attempt, s| {
-            if s == 0 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-        }));
-        let engine = layer.batch().engine().clone();
-        let reqs = requests(&engine, 1);
-        let start = Instant::now();
-        let report = layer.run_batch(&reqs);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "abandonment must bound the batch"
-        );
-        report.reconcile().unwrap();
-        assert_eq!(report.totals.abandoned, 1);
-        assert!(matches!(
-            report.outcomes[0].outcome.result,
-            Err(InferenceError::WorkerHung { requeues: 1 })
-        ));
+        for threads in [1, 2] {
+            let layer = resilient_on(
+                threads,
+                ResilienceConfig {
+                    watchdog_timeout: Some(Duration::from_millis(30)),
+                    max_requeues: 1,
+                    ..ResilienceConfig::default()
+                },
+            )
+            .with_request_sample_hook(Arc::new(move |id, _attempt, s| {
+                if id == 0 && s == 0 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+            }));
+            let engine = layer.batch().engine().clone();
+            let reqs = requests(&engine, 2);
+            let start = Instant::now();
+            let report = layer.run_batch(&reqs);
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "abandonment must bound the batch"
+            );
+            report.reconcile().unwrap();
+            assert_eq!(report.totals.abandoned, 1);
+            let hung = &report.outcomes[0];
+            assert!(matches!(
+                hung.outcome.result,
+                Err(InferenceError::WorkerHung { requeues: 1 })
+            ));
+            // Abandoned like a hung serve-path request: its one attempt
+            // counts.
+            assert_eq!(hung.attempts, 1, "at {threads} threads");
+            assert!(report.outcomes[1].outcome.result.is_ok());
+        }
     }
 }

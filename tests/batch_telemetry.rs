@@ -10,7 +10,9 @@
 //!   parses back — the same checks `trace_check` applies in CI to a
 //!   `fastbcnn serve-batch --trace-out/--metrics-out` run;
 //! * a fault-degraded batch keeps its fallback accounting consistent
-//!   between counters and per-request reports.
+//!   between counters and per-request reports;
+//! * under the watchdog, a resilient batch counts every request exactly
+//!   once, even after its hung attempts wake up and finish.
 //!
 //! Every test installs a private registry; the install guard holds a
 //! process-wide lock, so the tests serialize and never observe each
@@ -20,9 +22,12 @@ use fast_bcnn::models::ModelKind;
 use fast_bcnn::telemetry::{self, parse_exposition, Registry};
 use fast_bcnn::{
     synth_input, BatchConfig, BatchEngine, BatchReport, BatchRequest, DegradedMode, Engine,
-    EngineConfig, FaultInjector, PredictiveInference, RobustConfig, SkipStats, ThresholdFault,
+    EngineConfig, FaultInjector, FlightRecorder, InferenceError, PredictiveInference,
+    ResilienceConfig, ResilientBatchEngine, RobustConfig, SkipStats, ThresholdFault,
 };
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 fn lenet_engine(samples: usize) -> Engine {
     Engine::new(EngineConfig {
@@ -202,4 +207,88 @@ fn degraded_batch_keeps_fallback_accounting_consistent() {
         registry.counter_total("batch_requests"),
         requests.len() as u64
     );
+}
+
+#[test]
+fn watchdog_batch_counts_every_request_exactly_once() {
+    // Request 0 hangs on its first execution and is requeued; request 1
+    // hangs on every execution and is abandoned; request 2 runs clean.
+    // A hung execution blocks on `gate` until the batch has returned,
+    // then runs to completion; none of that may add a request-level
+    // count.
+    for threads in [1, 2] {
+        let engine = lenet_engine(4);
+        let requests = queue(&engine)[..3].to_vec();
+        let gate = Arc::new(RwLock::new(()));
+        let blocked = Arc::new(AtomicUsize::new(0));
+        let (hook_gate, waiting) = (Arc::clone(&gate), Arc::clone(&blocked));
+        let first = AtomicBool::new(false);
+        let flight = Arc::new(FlightRecorder::new(64));
+        let layer = ResilientBatchEngine::new(
+            BatchEngine::new(
+                engine,
+                BatchConfig {
+                    threads,
+                    ..BatchConfig::default()
+                },
+            ),
+            ResilienceConfig {
+                watchdog_timeout: Some(Duration::from_millis(200)),
+                max_requeues: 1,
+                ..ResilienceConfig::default()
+            },
+        )
+        .with_flight_recorder(Arc::clone(&flight))
+        .with_request_sample_hook(Arc::new(move |id, _attempt, s| {
+            let hang = s == 0 && (id == 1 || (id == 0 && !first.swap(true, Ordering::SeqCst)));
+            if hang {
+                waiting.fetch_add(1, Ordering::SeqCst);
+                drop(hook_gate.read());
+                waiting.fetch_sub(1, Ordering::SeqCst);
+            }
+        }));
+        let registry = Arc::new(Registry::new());
+        let report = {
+            let _guard = telemetry::install(registry.clone());
+            let closed = gate.write().expect("gate lock");
+            let report = layer.run_batch(&requests);
+            drop(closed);
+            // Keep recording until every hung hook has returned and its
+            // execution has had time to finish.
+            while blocked.load(Ordering::SeqCst) > 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            std::thread::sleep(Duration::from_millis(300));
+            report
+        };
+        report.reconcile().unwrap();
+        let requeues: Vec<u32> = report.outcomes.iter().map(|o| o.requeues).collect();
+        assert_eq!(requeues, vec![1, 1, 0], "at {threads} threads");
+        assert!(report.outcomes[0].outcome.result.is_ok());
+        assert!(matches!(
+            report.outcomes[1].outcome.result,
+            Err(InferenceError::WorkerHung { requeues: 1 })
+        ));
+        assert!(report.outcomes[2].outcome.result.is_ok());
+
+        let offered = report.totals.offered as u64;
+        assert_eq!(
+            registry.counter_total(telemetry::REQUEST_OUTCOME_METRIC),
+            offered,
+            "request_outcomes counted a request twice at {threads} threads"
+        );
+        assert_eq!(
+            flight.recorded(),
+            offered,
+            "flight records at {threads} threads"
+        );
+        assert_eq!(
+            registry.counter_total("watchdog_requeues"),
+            report.totals.requeues
+        );
+        assert_eq!(
+            registry.counter_total("watchdog_abandoned"),
+            report.totals.abandoned
+        );
+    }
 }
