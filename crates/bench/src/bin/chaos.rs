@@ -11,8 +11,10 @@
 //! exported from that registry after the run rather than through the
 //! global recorder slot.
 
-use fast_bcnn::chaos::{run_chaos_with_registry, ChaosConfig};
+use fast_bcnn::telemetry::Registry;
+use fbcnn_bench::harness::chaos::{run_chaos, ChaosConfig};
 use fbcnn_bench::BenchRecord;
+use std::sync::Arc;
 
 fn main() {
     let args = fbcnn_bench::parse_args();
@@ -23,7 +25,8 @@ fn main() {
         ChaosConfig::full(args.cfg.seed)
     };
 
-    let (report, registry) = run_chaos_with_registry(&cfg);
+    let registry = Arc::new(Registry::new());
+    let report = run_chaos(&cfg, &registry);
     let t = &report.totals;
 
     println!(

@@ -460,18 +460,7 @@ fn cmd_observe(args: &Args) {
         fast_bcnn::TelemetryReport::from_registry(&registry).render()
     );
 
-    if let Some(path) = &args.trace_out {
-        match registry.write_jsonl(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        match registry.write_prometheus(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    export(args, &registry);
 }
 
 /// Serves a synthetic request queue through the resilient serving layer
@@ -583,22 +572,21 @@ fn cmd_serve_batch(args: &Args) {
         fast_bcnn::TelemetryReport::from_registry(&registry).render()
     );
 
-    if let Some(path) = &args.trace_out {
-        match registry.write_jsonl(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        match registry.write_prometheus(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    export(args, &registry);
     if matched != compared {
         eprintln!("error: batch results diverged from sequential");
         std::process::exit(1);
     }
+}
+
+/// Writes `registry` to the `--trace-out` / `--metrics-out` paths that
+/// were given, exiting 1 when a write fails.
+fn export(args: &Args, registry: &fast_bcnn::telemetry::Registry) {
+    fbcnn_bench::export_registry(
+        registry,
+        args.trace_out.as_deref(),
+        args.metrics_out.as_deref(),
+    );
 }
 
 /// Label for a freshly exported artifact when `--label` was not given.
@@ -813,18 +801,7 @@ fn cmd_serve(args: &Args) {
         "{}",
         fast_bcnn::TelemetryReport::from_registry(&registry_telemetry).render()
     );
-    if let Some(path) = &args.trace_out {
-        match registry_telemetry.write_jsonl(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        match registry_telemetry.write_prometheus(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    export(args, &registry_telemetry);
 }
 
 /// Boots a [`ModelRegistry`] from an artifact, serves it over TCP
@@ -833,15 +810,22 @@ fn cmd_serve(args: &Args) {
 /// sheds, expiring deadlines and malformed frames — then reconciles the
 /// load-generator, server and registry ledgers exactly.
 fn cmd_serve_net(args: &Args) {
-    use fast_bcnn::serve as net;
+    use fbcnn_bench::harness::loadgen::LoadMode;
+    use fbcnn_bench::harness::soak::{drive_serve_soak, soak_classes, ServeSoakConfig};
     let registry_telemetry = std::sync::Arc::new(fast_bcnn::telemetry::Registry::new());
     let guard = fast_bcnn::telemetry::install(registry_telemetry.clone());
-    let started = std::time::Instant::now();
     let artifact = base_artifact(args);
     let version = artifact.model_version;
     let label = artifact.label.clone();
-    let samples = artifact.config.samples.max(2);
-    let seed = artifact.config.seed;
+    let soak = ServeSoakConfig {
+        seed: artifact.config.seed,
+        samples: artifact.config.samples.max(2),
+        shards: args.shards,
+        connections: args.connections,
+        requests_per_connection: args.requests,
+        mode: LoadMode::Closed,
+        time_limit: std::time::Duration::from_secs(60),
+    };
     let reference = match artifact.clone().into_engine() {
         Ok(engine) => engine,
         Err(e) => {
@@ -857,26 +841,13 @@ fn cmd_serve_net(args: &Args) {
             std::process::exit(1);
         }
     };
-    let before = registry.version_counters();
-    let classes = net::soak_classes(samples);
-    let class_names: Vec<String> = classes.iter().map(|c| c.name.clone()).collect();
-    let server = match net::serve(
-        std::sync::Arc::clone(&registry),
-        net::ServeConfig {
-            addr: args.addr.clone(),
-            classes,
-            ..net::ServeConfig::default()
-        },
-    ) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: cannot serve on {}: {e}", args.addr);
-            std::process::exit(1);
-        }
-    };
+    let class_names: Vec<String> = soak_classes(soak.samples)
+        .into_iter()
+        .map(|c| c.name)
+        .collect();
     println!(
         "serving v{version} (label `{label}`) on {} over {} shards, classes [{}]{}",
-        server.addr(),
+        args.addr,
         args.shards,
         class_names.join(", "),
         if args.supervise { " [supervised]" } else { "" },
@@ -887,52 +858,16 @@ fn cmd_serve_net(args: &Args) {
         .supervise
         .then(|| registry.spawn_supervisor(std::time::Duration::from_millis(5)))
         .flatten();
-    let lg_cfg = net::LoadgenConfig {
-        seed,
-        connections: args.connections,
-        requests_per_connection: args.requests,
-        classes: vec![
-            "interactive".to_string(),
-            "batch".to_string(),
-            "degraded".to_string(),
-        ],
-        shed_class: Some("reject".to_string()),
-        shed_every: 7,
-        expiring_every: 11,
-        malformed_every: 13,
-        bit_check_every: 5,
-        time_limit: Some(std::time::Duration::from_secs(60)),
-        ..net::LoadgenConfig::default()
+    let report = match drive_serve_soak(&soak, &registry, &reference, &args.addr) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: cannot serve on {}: {e}", args.addr);
+            std::process::exit(1);
+        }
     };
-    let loadgen = net::run_loadgen(server.addr(), &reference, &lg_cfg);
     drop(supervisor_thread);
-    let totals = server.shutdown();
-    let after = registry.version_counters();
-    let mut registry_requests = 0;
-    let mut registry_ok = 0;
-    let mut registry_failed = 0;
-    for (v, counters) in &after {
-        let base = before.get(v).copied().unwrap_or_default();
-        registry_requests += counters.requests - base.requests;
-        registry_ok += counters.ok - base.ok;
-        registry_failed += counters.failed - base.failed;
-    }
     drop(guard);
 
-    let report = net::ServeSoakReport {
-        seed,
-        mode: lg_cfg.mode.name().to_string(),
-        connections: args.connections,
-        requests_per_connection: args.requests,
-        samples,
-        shards: args.shards,
-        loadgen,
-        server: totals,
-        registry_requests,
-        registry_ok,
-        registry_failed,
-        elapsed_ns: started.elapsed().as_nanos() as u64,
-    };
     let lg = &report.loadgen.totals;
     println!(
         "{} frames over {} connections in {:.1} ms: {} ok / {} failed / {} shed / \
@@ -962,18 +897,7 @@ fn cmd_serve_net(args: &Args) {
         "{}",
         fast_bcnn::TelemetryReport::from_registry(&registry_telemetry).render()
     );
-    if let Some(path) = &args.trace_out {
-        match registry_telemetry.write_jsonl(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        match registry_telemetry.write_prometheus(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    export(args, &registry_telemetry);
 }
 
 /// Demonstrates a drain-free hot swap: serves traffic on the base
@@ -1075,18 +999,7 @@ fn cmd_swap(args: &Args) {
         "{}",
         fast_bcnn::TelemetryReport::from_registry(&registry_telemetry).render()
     );
-    if let Some(path) = &args.trace_out {
-        match registry_telemetry.write_jsonl(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        match registry_telemetry.write_prometheus(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    export(args, &registry_telemetry);
 }
 
 /// Serves traffic window by window under a [`WindowedRegistry`] and an
@@ -1171,8 +1084,8 @@ fn cmd_watch(args: &Args) {
         }
         if args.chaos && w == args.windows as u64 / 2 {
             println!("-- chaos campaign running in this window (class `default`)");
-            let report = fast_bcnn::chaos::run_chaos_into(
-                &fast_bcnn::chaos::ChaosConfig::quick(seed),
+            let report = fbcnn_bench::harness::chaos::run_chaos(
+                &fbcnn_bench::harness::chaos::ChaosConfig::quick(seed),
                 windowed.total(),
             );
             println!(
@@ -1281,18 +1194,7 @@ fn cmd_watch(args: &Args) {
         "{}",
         fast_bcnn::TelemetryReport::from_registry(windowed.total()).render()
     );
-    if let Some(path) = &args.trace_out {
-        match windowed.total().write_jsonl(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        match windowed.total().write_prometheus(path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    export(args, windowed.total());
 }
 
 /// One record's flag summary for the postmortem table.

@@ -12,8 +12,11 @@
 //! `--json <path>`, `--trace-out <path>`, `--metrics-out <path>`.
 //! Unknown flags are hard errors (exit 2).
 
-use fast_bcnn::serve::{run_serve_soak_with_registry, LoadMode, ServeSoakConfig};
+use fast_bcnn::telemetry::Registry;
+use fbcnn_bench::harness::loadgen::LoadMode;
+use fbcnn_bench::harness::soak::{run_serve_soak, ServeSoakConfig};
 use fbcnn_bench::{usage_error, BenchRecord};
+use std::sync::Arc;
 
 const USAGE: &str = "loadgen [--quick] [--seed <N>] [--connections <N>] [--requests <N>] \
      [--mode closed|open] [--json <path>] [--trace-out <path>] [--metrics-out <path>]";
@@ -44,8 +47,9 @@ fn main() {
         }
     }
 
-    let (report, registry) = match run_serve_soak_with_registry(&cfg) {
-        Ok(pair) => pair,
+    let registry = Arc::new(Registry::new());
+    let report = match run_serve_soak(&cfg, &registry) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("loadgen: failed to boot the serve soak: {e}");
             std::process::exit(1);
@@ -79,7 +83,7 @@ fn main() {
         report.server.connections_rejected,
     );
     println!(
-        "goodput {:.2}x the host-scaled floor | bit checks {} ({} mismatched) | \
+        "goodput {:.2}x the in-process rate | bit checks {} ({} mismatched) | \
          aborted workers {}",
         record.headline["speedup"],
         lg.bit_checked,

@@ -1,6 +1,6 @@
 //! SLO soak harness: drives the versioned registry through calm →
 //! fault burst → recovery under a windowed SLO monitor
-//! ([`fast_bcnn::slo::run_slo_soak`]) and proves the observability
+//! ([`fbcnn_bench::harness::slo::run_slo_soak`]) and proves the observability
 //! contract — the health walk pages on the burst and recovers, the
 //! windowed accounting reconciles *exactly* against the registry fold
 //! and the embedded chaos campaign, every latency quantile estimate
@@ -13,7 +13,7 @@
 //! so `--trace-out` / `--metrics-out` are exported from its total
 //! registry after the run.
 
-use fast_bcnn::slo::{run_slo_soak_with_registry, SloSoakConfig};
+use fbcnn_bench::harness::slo::{run_slo_soak, SloSoakConfig};
 use fbcnn_bench::BenchRecord;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         SloSoakConfig::full(args.cfg.seed)
     };
 
-    let (report, windowed) = match run_slo_soak_with_registry(&cfg) {
+    let (report, windowed) = match run_slo_soak(&cfg) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("slo: FAIL — soak could not start: {e}");

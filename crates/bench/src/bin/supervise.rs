@@ -13,8 +13,10 @@
 //! `--trace-out <path>`, `--metrics-out <path>`. Unknown flags are hard
 //! errors (exit 2).
 
-use fast_bcnn::serve::{run_supervise_soak_with_registry, SuperviseSoakConfig};
+use fast_bcnn::telemetry::Registry;
+use fbcnn_bench::harness::soak::{run_supervise_soak, SuperviseSoakConfig};
 use fbcnn_bench::BenchRecord;
+use std::sync::Arc;
 
 fn main() {
     let args = fbcnn_bench::parse_soak_args(
@@ -27,8 +29,9 @@ fn main() {
         SuperviseSoakConfig::full(args.seed)
     };
 
-    let (report, registry) = match run_supervise_soak_with_registry(&cfg) {
-        Ok(pair) => pair,
+    let registry = Arc::new(Registry::new());
+    let report = match run_supervise_soak(&cfg, &registry) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("supervise: failed to boot the soak: {e}");
             std::process::exit(1);
@@ -36,7 +39,7 @@ fn main() {
     };
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let record = BenchRecord::supervise(&report, args.quick, cpus);
-    let lg = &report.loadgen;
+    let lg = &report.loadgen.totals;
 
     println!(
         "== supervision soak (seed {}, {} shards, {} connections/burst, {} bursts, {} CPUs) ==",

@@ -10,7 +10,7 @@
 //! campaign records into its own telemetry registry, so `--trace-out` /
 //! `--metrics-out` export from that registry after the run.
 
-use fast_bcnn::chaos::{run_swap_chaos_into, SwapChaosConfig};
+use fbcnn_bench::harness::chaos::{run_swap_chaos, SwapChaosConfig};
 use fbcnn_bench::BenchRecord;
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ fn main() {
     };
 
     let registry = Arc::new(fast_bcnn::telemetry::Registry::new());
-    let report = match run_swap_chaos_into(&cfg, &registry) {
+    let report = match run_swap_chaos(&cfg, &registry) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("swap: campaign failed to run: {e}");

@@ -1,15 +1,15 @@
 //! Chaos soak driver for the resilient serving layer.
 //!
-//! [`run_chaos`] hammers a [`crate::ResilientBatchEngine`] with rounds of
+//! [`run_chaos`] hammers a [`fast_bcnn::ResilientBatchEngine`] with rounds of
 //! seeded faults — injected sample panics, poisoned thresholds, NaN
 //! weights, latency stalls, queue overload and deadline pressure — and
 //! checks the robustness contract end to end:
 //!
 //! * **zero hangs, zero aborts** — every request returns, every failure
-//!   is a typed [`crate::InferenceError`] (never a panic past the
+//!   is a typed [`fast_bcnn::InferenceError`] (never a panic past the
 //!   isolation, never a silent truncation);
 //! * **exact accounting** — the per-request outcomes, the aggregate
-//!   [`crate::ResilienceTotals`] and the `breaker_*` / `shed_*` /
+//!   [`fast_bcnn::ResilienceTotals`] and the `breaker_*` / `shed_*` /
 //!   `retry_*` / `deadline_*` telemetry counters all reconcile with each
 //!   other, with no slack;
 //! * **determinism** — the whole campaign derives from one seed, so a
@@ -18,28 +18,22 @@
 //!   transition sequence and shed counts are stable enough to pin in a
 //!   golden fixture.
 //!
-//! The driver installs its own private telemetry [`Registry`] for the
-//! duration of the run (callers must not hold their own install guard —
-//! the telemetry install lock is not reentrant) and snapshots the
-//! resilience counters into the report before restoring the previous
-//! recorder.
-//!
-//! [`Registry`]: fbcnn_telemetry::Registry
+//! Both soaks record into a caller-owned telemetry [`Registry`] (see
+//! [`super::record_into`]) and report the campaign's own counter deltas,
+//! so counts already in the registry never leak into a report.
 
-use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::batch::{BatchConfig, BatchEngine, BatchRequest};
-use crate::engine::{synth_input, DegradedMode, Engine, EngineConfig};
-use crate::faults::{FaultInjector, ThresholdFault};
-use crate::ledger::Ledger;
-use crate::registry::{ModelRegistry, RegistryConfig, RegistryReport, VersionCounters};
-use crate::resilience::{
-    error_reason_name, BreakerConfig, CircuitBreaker, NoJitter, ResilienceConfig, ResilienceTotals,
-    ResilientBatchEngine, RetryPolicy, ShedPolicy,
+use super::faults::{FaultInjector, ThresholdFault};
+use super::{record_into, soak_engine_config, SilencedChaosPanics};
+use fast_bcnn::telemetry::Registry;
+use fast_bcnn::{
+    error_reason_name, synth_input, ArtifactError, BatchConfig, BatchEngine, BatchRequest,
+    BreakerConfig, CircuitBreaker, DegradedMode, Engine, EngineConfig, Ledger, ModelArtifact,
+    ModelRegistry, NoJitter, RegistryConfig, RegistryReport, RequestSampleHook, ResilienceConfig,
+    ResilienceTotals, ResilientBatchEngine, RetryPolicy, ShedPolicy, VersionCounters,
 };
-use fbcnn_nn::models::ModelKind;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// One fault class the soak rotates through. Each round applies exactly
@@ -53,7 +47,7 @@ pub enum ChaosClass {
     /// only, never numerics.
     Latency,
     /// The sample hook panics on every sample of a request's first
-    /// attempt: total contained loss ([`crate::InferenceError::AllSamplesFailed`]),
+    /// attempt: total contained loss ([`fast_bcnn::InferenceError::AllSamplesFailed`]),
     /// the typed-transient class a retry heals.
     SamplePanic,
     /// Truncated threshold vectors: a structural poisoning caught by
@@ -215,7 +209,7 @@ pub struct ChaosReport {
     /// Snapshot of the resilience telemetry counters (summed over label
     /// sets, except where a labeled cell is named explicitly).
     pub counters: BTreeMap<String, u64>,
-    /// Per-round [`crate::ResilientBatchReport::reconcile`] failures —
+    /// Per-round [`fast_bcnn::ResilientBatchReport::reconcile`] failures —
     /// must be empty.
     pub round_reconcile_errors: Vec<String>,
     /// Wall-clock of the campaign, nanoseconds.
@@ -279,92 +273,15 @@ impl ChaosReport {
     }
 }
 
-/// RAII filter over the global panic hook that swallows the chaos
-/// harness's own injected panics (payloads starting with `"chaos:"`) so a
-/// soak does not flood stderr; every other panic still prints through the
-/// previous hook. Restores the previous hook on drop.
-pub(crate) struct SilencedChaosPanics;
-
-impl SilencedChaosPanics {
-    pub(crate) fn install() -> Self {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.starts_with("chaos:"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.starts_with("chaos:"))
-                })
-                .unwrap_or(false);
-            if !injected {
-                previous(info);
-            }
-        }));
-        Self
-    }
-}
-
-impl Drop for SilencedChaosPanics {
-    fn drop(&mut self) {
-        // Restore the default hook; the previous one is owned by the
-        // filtering closure and cannot be recovered, but the default is
-        // what every test environment starts from.
-        let _ = std::panic::take_hook();
-    }
-}
-
-/// Runs a chaos campaign into a fresh private telemetry registry; see
-/// the module docs.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    run_chaos_with_registry(cfg).0
-}
-
-/// [`run_chaos`], additionally handing back the private [`Registry`] the
-/// campaign recorded into so a harness can export the raw spans and
-/// counters (`Registry::write_jsonl` / `write_prometheus`) without ever
-/// holding the global install lock itself.
-///
-/// [`Registry`]: fbcnn_telemetry::Registry
-pub fn run_chaos_with_registry(cfg: &ChaosConfig) -> (ChaosReport, Arc<fbcnn_telemetry::Registry>) {
-    let registry = Arc::new(fbcnn_telemetry::Registry::new());
-    let report = run_chaos_into(cfg, &registry);
-    (report, registry)
-}
-
-/// Runs a chaos campaign recording into a *caller-owned* telemetry
-/// [`Registry`]. If `registry` is already the globally installed
-/// recorder (the caller holds its own [`fbcnn_telemetry::install`]
-/// guard), the campaign records through it directly; otherwise it is
-/// installed just for the duration. Either way the reported counter
-/// snapshot is the campaign's own delta, so pre-existing counts in the
-/// registry never leak into the report.
-///
-/// [`Registry`]: fbcnn_telemetry::Registry
-pub fn run_chaos_into(cfg: &ChaosConfig, registry: &Arc<fbcnn_telemetry::Registry>) -> ChaosReport {
+/// Runs a chaos campaign recording into `registry`; see the module
+/// docs.
+pub fn run_chaos(cfg: &ChaosConfig, registry: &Arc<Registry>) -> ChaosReport {
     let start = Instant::now();
-    let recorder = Arc::clone(registry) as Arc<dyn fbcnn_telemetry::Recorder>;
-    // `installed_sink_is` (not `is_installed`): the global slot may hold
-    // a wrapper — e.g. a windowed SLO registry — that aggregates into
-    // this registry. Recording through the wrapper keeps its windowed
-    // view consistent; re-installing would deadlock on the non-reentrant
-    // install lock.
-    let telemetry_guard = if fbcnn_telemetry::installed_sink_is(registry) {
-        None
-    } else {
-        Some(fbcnn_telemetry::install(recorder))
-    };
+    let telemetry_guard = record_into(registry);
     let counters_before = snapshot_resilience_counters(registry);
     let _silencer = SilencedChaosPanics::install();
 
-    let engine_cfg = EngineConfig {
-        samples: cfg.samples.max(2),
-        calibration_samples: 3,
-        seed: cfg.seed,
-        ..EngineConfig::for_model(ModelKind::LeNet5)
-    };
+    let engine_cfg = soak_engine_config(cfg.seed, cfg.samples);
     let pristine = Engine::new(engine_cfg);
     let input_shape = pristine.network().input_shape();
 
@@ -744,41 +661,19 @@ pub fn boot_registry_via_disk(
     Ok((Arc::new(registry), pristine))
 }
 
-/// Runs a swap-under-fire campaign into a fresh private telemetry
-/// registry; see [`SwapChaosConfig`].
+/// Runs a swap-under-fire campaign recording into `telemetry`; see
+/// [`SwapChaosConfig`].
 ///
 /// # Errors
 ///
 /// [`ArtifactError`] when the campaign's own artifact export/reload
 /// round-trip or a deploy fails (a harness bug, not an injected fault).
-pub fn run_swap_chaos(cfg: &SwapChaosConfig) -> Result<SwapChaosReport, ArtifactError> {
-    let registry = Arc::new(fbcnn_telemetry::Registry::new());
-    run_swap_chaos_into(cfg, &registry)
-}
-
-/// [`run_swap_chaos`] recording into a caller-owned telemetry registry
-/// (installed only if it is not already the global recorder, exactly
-/// like [`run_chaos_into`]).
-///
-/// # Errors
-///
-/// [`ArtifactError`] when the artifact round-trip or a deploy fails.
-pub fn run_swap_chaos_into(
+pub fn run_swap_chaos(
     cfg: &SwapChaosConfig,
-    telemetry: &Arc<fbcnn_telemetry::Registry>,
+    telemetry: &Arc<Registry>,
 ) -> Result<SwapChaosReport, ArtifactError> {
     let start = Instant::now();
-    let recorder = Arc::clone(telemetry) as Arc<dyn fbcnn_telemetry::Recorder>;
-    // `installed_sink_is` (not `is_installed`): the global slot may hold
-    // a wrapper — e.g. a windowed SLO registry — that aggregates into
-    // this registry. Recording through the wrapper keeps its windowed
-    // view consistent; re-installing would deadlock on the non-reentrant
-    // install lock.
-    let telemetry_guard = if fbcnn_telemetry::installed_sink_is(telemetry) {
-        None
-    } else {
-        Some(fbcnn_telemetry::install(recorder))
-    };
+    let telemetry_guard = record_into(telemetry);
     let _silencer = SilencedChaosPanics::install();
 
     // Campaign counter baselines, so a reused registry never leaks
@@ -794,17 +689,13 @@ pub fn run_swap_chaos_into(
         .map(|n| ((*n).to_string(), telemetry.counter_total(n)))
         .collect();
 
-    let engine_cfg = EngineConfig {
-        samples: cfg.samples.max(2),
-        calibration_samples: 3,
-        seed: cfg.seed,
-        ..EngineConfig::for_model(ModelKind::LeNet5)
-    };
+    let engine_cfg = soak_engine_config(cfg.seed, cfg.samples);
 
     // A version that crashes on the traffic it serves: while a rollout
     // is in flight only the candidate serves canary ids, so arming the
     // hook on exactly those ids is a version-correlated fault.
     let armed = Arc::new(AtomicBool::new(false));
+    let booted = Arc::new(OnceLock::new());
     let registry_cfg = RegistryConfig {
         shards: cfg.shards.max(1),
         routing_seed: cfg.seed ^ 0x5A_A55A,
@@ -817,22 +708,17 @@ pub fn run_swap_chaos_into(
             ..BatchConfig::default()
         },
         resilience: ResilienceConfig::default(),
-        sample_hook: {
-            let armed = Arc::clone(&armed);
-            let (routing_seed, percent) = (cfg.seed ^ 0x5A_A55A, 50);
-            Some(Arc::new(move |id: u64, _attempt: u32, _sample: usize| {
-                if armed.load(Ordering::Relaxed)
-                    && crate::registry::is_canary(routing_seed, percent, id)
-                {
-                    panic!("chaos: candidate crashes on every sample it serves");
-                }
-            }))
-        },
+        sample_hook: Some(canary_crash_hook(
+            &armed,
+            &booted,
+            "chaos: candidate crashes on every sample it serves",
+        )),
         jitter: Some(Arc::new(NoJitter)),
         flight: None,
         supervise: None,
     };
     let (registry, pristine) = boot_registry_via_disk(engine_cfg, 1, "v1", registry_cfg)?;
+    let _ = booted.set(Arc::downgrade(&registry));
     let input_shape = pristine.network().input_shape();
 
     let mut rounds = Vec::with_capacity(cfg.rounds);
@@ -992,8 +878,32 @@ pub fn run_swap_chaos_into(
     })
 }
 
+/// A sample hook that panics with `message` on every canary id while
+/// `armed` — a candidate version that crashes on the traffic it serves.
+/// The canary split is the booted registry's own
+/// ([`ModelRegistry::is_canary_id`]); until `registry` is filled the
+/// hook stays quiet.
+pub(crate) fn canary_crash_hook(
+    armed: &Arc<AtomicBool>,
+    registry: &Arc<OnceLock<Weak<ModelRegistry>>>,
+    message: &'static str,
+) -> RequestSampleHook {
+    let (armed, registry) = (Arc::clone(armed), Arc::clone(registry));
+    Arc::new(move |id, _attempt, _sample| {
+        let canary = || {
+            registry
+                .get()
+                .and_then(Weak::upgrade)
+                .is_some_and(|r| r.is_canary_id(id))
+        };
+        if armed.load(Ordering::Relaxed) && canary() {
+            panic!("{message}");
+        }
+    })
+}
+
 /// Reads one labeled `version_requests` counter cell.
-fn version_requests_cell(telemetry: &fbcnn_telemetry::Registry, version: u64) -> u64 {
+fn version_requests_cell(telemetry: &Registry, version: u64) -> u64 {
     let label = version.to_string();
     telemetry
         .counter_value("version_requests", &[("version", &label)])
@@ -1003,7 +913,7 @@ fn version_requests_cell(telemetry: &fbcnn_telemetry::Registry, version: u64) ->
 /// Snapshots every resilience counter the chaos reports reconcile
 /// against (summed over label sets, plus the explicitly labeled
 /// issued-probe cell).
-fn snapshot_resilience_counters(registry: &fbcnn_telemetry::Registry) -> BTreeMap<String, u64> {
+fn snapshot_resilience_counters(registry: &Registry) -> BTreeMap<String, u64> {
     let mut counters = BTreeMap::new();
     for name in [
         "shed_requests",
@@ -1034,9 +944,17 @@ fn snapshot_resilience_counters(registry: &fbcnn_telemetry::Registry) -> BTreeMa
 mod tests {
     use super::*;
 
+    fn chaos(cfg: &ChaosConfig) -> ChaosReport {
+        run_chaos(cfg, &Arc::new(Registry::new()))
+    }
+
+    fn swap(cfg: &SwapChaosConfig) -> SwapChaosReport {
+        run_swap_chaos(cfg, &Arc::new(Registry::new())).unwrap()
+    }
+
     #[test]
     fn quick_campaign_reconciles_and_types_every_loss() {
-        let report = run_chaos(&ChaosConfig::quick(5));
+        let report = chaos(&ChaosConfig::quick(5));
         assert_eq!(
             report.requests_total,
             ChaosConfig::quick(5).offered_requests()
@@ -1058,8 +976,8 @@ mod tests {
 
     #[test]
     fn campaigns_replay_exactly_from_their_seed() {
-        let a = run_chaos(&ChaosConfig::deterministic(9));
-        let b = run_chaos(&ChaosConfig::deterministic(9));
+        let a = chaos(&ChaosConfig::deterministic(9));
+        let b = chaos(&ChaosConfig::deterministic(9));
         assert_eq!(a.transitions, b.transitions);
         assert_eq!(a.final_breaker_state, b.final_breaker_state);
         assert_eq!(a.counters, b.counters);
@@ -1073,23 +991,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_into_reuses_an_installed_recorder_and_reports_deltas() {
-        let registry = Arc::new(fbcnn_telemetry::Registry::new());
-        let guard =
-            fbcnn_telemetry::install(Arc::clone(&registry) as Arc<dyn fbcnn_telemetry::Recorder>);
-        // Pre-existing counts in the caller's registry must not leak
-        // into the campaign's reported counters.
-        fbcnn_telemetry::counter_add("retry_attempts", &[], 17);
-        let report = run_chaos_into(&ChaosConfig::quick(5), &registry);
-        drop(guard);
-        report.reconcile().unwrap();
-        let fresh = run_chaos(&ChaosConfig::quick(5));
-        assert_eq!(report.counters, fresh.counters);
-    }
-
-    #[test]
     fn swap_under_fire_loses_nothing_and_reconciles_exactly() {
-        let report = run_swap_chaos(&SwapChaosConfig::quick(7)).unwrap();
+        let report = swap(&SwapChaosConfig::quick(7));
         report.reconcile().unwrap();
         assert_eq!(
             report.requests_total,
@@ -1116,8 +1019,8 @@ mod tests {
 
     #[test]
     fn swap_campaigns_replay_exactly_from_their_seed() {
-        let a = run_swap_chaos(&SwapChaosConfig::quick(11)).unwrap();
-        let b = run_swap_chaos(&SwapChaosConfig::quick(11)).unwrap();
+        let a = swap(&SwapChaosConfig::quick(11));
+        let b = swap(&SwapChaosConfig::quick(11));
         assert_eq!(a.version_requests, b.version_requests);
         assert_eq!(a.counters, b.counters);
         for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
@@ -1130,7 +1033,7 @@ mod tests {
 
     #[test]
     fn deterministic_campaign_walks_the_breaker_through_a_full_cycle() {
-        let report = run_chaos(&ChaosConfig::deterministic(5));
+        let report = chaos(&ChaosConfig::deterministic(5));
         report.reconcile().unwrap();
         let seq = &report.transitions;
         assert!(

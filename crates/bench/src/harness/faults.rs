@@ -10,12 +10,11 @@
 //!
 //! The injector only *creates* faults. Detection and recovery live in
 //! [`fbcnn_nn::ActivationGuard`], [`fbcnn_predictor::ThresholdSet::validate`]
-//! and [`crate::Engine::predict_robust_controlled`];
+//! and [`fast_bcnn::Engine::predict_robust_controlled`];
 //! `tests/fault_injection.rs` closes the loop.
 
-use crate::artifact::ModelArtifact;
-use crate::resilience::RequestSampleHook;
-use crate::supervise::{shard_route, SupervisorGate};
+use fast_bcnn::supervise::{lock_gate, shard_route, SupervisorGate};
+use fast_bcnn::{ModelArtifact, RequestSampleHook};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::{Network, NodeId};
@@ -30,7 +29,7 @@ use std::time::Duration;
 /// reports `shard` in the routing ring. An unfilled gate reports live —
 /// a poison armed before boot must actually bite.
 fn gate_reports_live(gate: &SupervisorGate, shard: usize) -> bool {
-    match crate::supervise::lock_gate(gate).as_ref() {
+    match lock_gate(gate).as_ref() {
         Some(sup) => sup.health(shard).is_live(),
         None => true,
     }
@@ -125,7 +124,7 @@ pub enum ThresholdFault {
 
 /// How [`FaultInjector::corrupt_artifact_file`] damages a saved model
 /// artifact on disk. Every class must surface as a typed
-/// [`crate::ArtifactError`] at load time — never a panic, never a
+/// [`fast_bcnn::ArtifactError`] at load time — never a panic, never a
 /// silently different model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactFault {
@@ -367,7 +366,7 @@ impl FaultInjector {
                 let text = String::from_utf8_lossy(&bytes).into_owned();
                 // The envelope's own version field precedes the payload's
                 // `model_version`, so the first match is the right one.
-                let needle = format!("\"version\":{}", crate::io::FORMAT_VERSION);
+                let needle = format!("\"version\":{}", fast_bcnn::io::FORMAT_VERSION);
                 text.replacen(&needle, "\"version\":99", 1).into_bytes()
             }
         };
@@ -405,7 +404,7 @@ impl FaultInjector {
 
     /// A per-shard panic poison: while `armed`, every sample of every
     /// request whose *primary* route is `target` panics (a `"chaos:"`
-    /// payload, silenced by `chaos::SilencedChaosPanics`).
+    /// payload, silenced while a soak runs).
     ///
     /// The hook only sees request ids, so after supervision quarantines
     /// the shard the same ids keep arriving — served by a *healthy*
@@ -592,8 +591,8 @@ mod tests {
 
     #[test]
     fn shard_poison_dies_with_its_shards_quarantine() {
-        use crate::supervise::{ShardHealth, SuperviseConfig, Supervisor};
-        let _quiet = crate::chaos::SilencedChaosPanics::install();
+        use fast_bcnn::supervise::{OutcomeSignal, ShardHealth, SuperviseConfig, Supervisor};
+        let _quiet = crate::harness::SilencedChaosPanics::install();
         let (seed, shards, target) = (0x5EED, 2usize, 0usize);
         let armed = Arc::new(AtomicBool::new(true));
         let gate: SupervisorGate = Arc::new(std::sync::Mutex::new(None));
@@ -638,7 +637,7 @@ mod tests {
             )
             .unwrap(),
         );
-        *crate::supervise::lock_gate(&gate) = Some(Arc::clone(&sup));
+        *lock_gate(&gate) = Some(Arc::clone(&sup));
         assert!(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (*hook)(id_on_target, 0, 0)))
                 .is_err()
@@ -648,7 +647,7 @@ mod tests {
             for _ in 0..4 {
                 sup.observe(
                     target,
-                    crate::supervise::OutcomeSignal {
+                    OutcomeSignal {
                         ok: false,
                         expired: false,
                         abandoned: false,
@@ -659,7 +658,7 @@ mod tests {
             clock.advance(101);
             sup.observe(
                 target,
-                crate::supervise::OutcomeSignal {
+                OutcomeSignal {
                     ok: false,
                     expired: false,
                     abandoned: false,

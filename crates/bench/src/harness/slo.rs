@@ -20,24 +20,21 @@
 //! Time is a [`ManualClock`], so window boundaries — and therefore the
 //! whole health walk — are a deterministic function of the seed.
 //!
-//! [`ChaosConfig::quick`]: crate::chaos::ChaosConfig::quick
+//! [`ChaosConfig::quick`]: super::chaos::ChaosConfig::quick
 
-use crate::chaos::{run_chaos_into, ChaosConfig, SilencedChaosPanics};
-use crate::engine::EngineConfig;
-use crate::io;
-use crate::ledger::Ledger;
-use crate::{
-    ArtifactError, BatchConfig, BatchRequest, Engine, FlightRecorder, ModelArtifact, ModelRegistry,
-    NoJitter, RegistryConfig, RegistryOutcome, ResilienceConfig,
+use super::chaos::{canary_crash_hook, run_chaos, ChaosConfig};
+use super::{soak_engine_config, SilencedChaosPanics};
+use fast_bcnn::{
+    io, synth_input, ArtifactError, BatchConfig, BatchRequest, Engine, FlightRecorder, Ledger,
+    ModelArtifact, ModelRegistry, NoJitter, RegistryConfig, RegistryOutcome, ResilienceConfig,
 };
-use fbcnn_nn::models::ModelKind;
 use fbcnn_telemetry::{
     HealthStatus, LatencyObjective, ManualClock, Registry, SloPolicy, WindowedRegistry,
     QUANTILE_WIDTH_RATIO, REQUEST_LATENCY_METRIC, REQUEST_OUTCOME_METRIC, STANDARD_QUANTILES,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Deadline class the soak's registry traffic is served under.
@@ -234,7 +231,7 @@ pub struct SloSoakReport {
     pub expected_failed_ids: Vec<u64>,
     /// Records in the dump's live ring.
     pub postmortem_records: u64,
-    /// Degraded records ([`crate::FlightLog::degraded`]) in the dump.
+    /// Degraded records ([`fast_bcnn::FlightLog::degraded`]) in the dump.
     pub postmortem_degraded: u64,
     /// Mid-run invariant failures — must be empty.
     pub reconcile_errors: Vec<String>,
@@ -473,26 +470,16 @@ fn estimate_within_bound(estimate: f64, exact: u64, min_bound: f64, max_bound: f
 
 /// Runs the seeded SLO soak; see the module docs for the phase walk.
 ///
-/// The soak installs its [`WindowedRegistry`] as the global telemetry
-/// recorder for the duration (the embedded chaos campaign detects the
-/// shared sink and records straight through it).
+/// The soak installs a [`WindowedRegistry`] of its own as the global
+/// telemetry recorder for the duration (the embedded chaos campaign
+/// records straight through it) and hands it back with the report, so
+/// a harness can export trace/metrics artifacts from its total view.
 ///
 /// # Errors
 ///
 /// Only artifact/registry construction can fail; every soak-level
 /// invariant lands in [`SloSoakReport::reconcile_errors`] instead.
-pub fn run_slo_soak(cfg: &SloSoakConfig) -> Result<SloSoakReport, ArtifactError> {
-    run_slo_soak_with_registry(cfg).map(|(report, _)| report)
-}
-
-/// [`run_slo_soak`], also handing back the windowed registry the soak
-/// recorded into — harness binaries export trace/metrics artifacts from
-/// its total view after the run.
-///
-/// # Errors
-///
-/// See [`run_slo_soak`].
-pub fn run_slo_soak_with_registry(
+pub fn run_slo_soak(
     cfg: &SloSoakConfig,
 ) -> Result<(SloSoakReport, Arc<WindowedRegistry>), ArtifactError> {
     let start = Instant::now();
@@ -510,12 +497,7 @@ pub fn run_slo_soak_with_registry(
     let mut reconcile_errors = Vec::new();
 
     // --- the registry under observation -----------------------------
-    let engine_cfg = EngineConfig {
-        samples: cfg.samples.max(2),
-        calibration_samples: 3,
-        seed: cfg.seed,
-        ..EngineConfig::for_model(ModelKind::LeNet5)
-    };
+    let engine_cfg = soak_engine_config(cfg.seed, cfg.samples);
     let pristine = Engine::new(engine_cfg);
     let input_shape = pristine.network().input_shape();
 
@@ -535,12 +517,11 @@ pub fn run_slo_soak_with_registry(
     // `canary_min_requests` observations — a deterministic failure
     // count.
     let armed = Arc::new(AtomicBool::new(false));
-    let routing_seed = cfg.seed ^ 0x510_CAFE;
-    let canary_percent = 50;
+    let booted = Arc::new(OnceLock::new());
     let registry_cfg = RegistryConfig {
         shards: 2,
-        routing_seed,
-        canary_percent,
+        routing_seed: cfg.seed ^ 0x510_CAFE,
+        canary_percent: 50,
         canary_min_requests: 4,
         canary_trip_threshold: 0.5,
         batch: BatchConfig {
@@ -552,22 +533,20 @@ pub fn run_slo_soak_with_registry(
             deadline_class: SOAK_CLASS.to_string(),
             ..ResilienceConfig::default()
         },
-        sample_hook: {
-            let armed = Arc::clone(&armed);
-            Some(Arc::new(move |id: u64, _attempt: u32, _sample: usize| {
-                if armed.load(Ordering::Relaxed)
-                    && crate::registry::is_canary(routing_seed, canary_percent, id)
-                {
-                    panic!("chaos: slo candidate crashes on canary traffic");
-                }
-            }))
-        },
+        sample_hook: Some(canary_crash_hook(
+            &armed,
+            &booted,
+            "chaos: slo candidate crashes on canary traffic",
+        )),
         jitter: Some(Arc::new(NoJitter)),
         flight: Some(Arc::clone(&flight)),
         supervise: None,
     };
-    let registry =
-        ModelRegistry::new(ModelArtifact::from_engine(&pristine, 1, "v1"), registry_cfg)?;
+    let registry = Arc::new(ModelRegistry::new(
+        ModelArtifact::from_engine(&pristine, 1, "v1"),
+        registry_cfg,
+    )?);
+    let _ = booted.set(Arc::downgrade(&registry));
 
     let mut verdicts = Vec::new();
     let mut outcomes: Vec<RegistryOutcome> = Vec::new();
@@ -581,7 +560,7 @@ pub fn run_slo_soak_with_registry(
                  failed_ids: &mut Vec<u64>,
                  expected: &mut Option<Vec<u64>>| {
         for &id in ids {
-            let input = crate::synth_input(input_shape, cfg.seed ^ id.wrapping_mul(41));
+            let input = synth_input(input_shape, cfg.seed ^ id.wrapping_mul(41));
             let o = registry.handle(&BatchRequest::new(id, input));
             if o.outcome.outcome.result.is_err() {
                 failed_ids.push(id);
@@ -594,6 +573,17 @@ pub fn run_slo_soak_with_registry(
                 *expected = Some(failed_ids.clone());
             }
             outcomes.push(o);
+        }
+    };
+
+    let verdict = |window: u64, phase: &str, requests: usize| {
+        let report = policy.evaluate(&windowed);
+        WindowVerdict {
+            window,
+            phase: phase.to_string(),
+            status: report.status,
+            violations: report.violations.iter().map(|v| v.render()).collect(),
+            requests,
         }
     };
 
@@ -610,14 +600,7 @@ pub fn run_slo_soak_with_registry(
             &mut failed_ids,
             &mut expected_failed_ids,
         );
-        let report = policy.evaluate(&windowed);
-        verdicts.push(WindowVerdict {
-            window,
-            phase: "calm".to_string(),
-            status: report.status,
-            violations: report.violations.iter().map(|v| v.render()).collect(),
-            requests: ids.len(),
-        });
+        verdicts.push(verdict(window, "calm", ids.len()));
         window += 1;
     }
 
@@ -650,7 +633,7 @@ pub fn run_slo_soak_with_registry(
     }
 
     let chaos = if cfg.with_chaos {
-        let chaos_report = run_chaos_into(&ChaosConfig::quick(cfg.seed), windowed.total());
+        let chaos_report = run_chaos(&ChaosConfig::quick(cfg.seed), windowed.total());
         if let Err(e) = chaos_report.reconcile() {
             reconcile_errors.push(format!("chaos report failed to reconcile: {e}"));
         }
@@ -663,10 +646,10 @@ pub fn run_slo_soak_with_registry(
         None
     };
 
-    let report = policy.evaluate(&windowed);
+    let burst = verdict(window, "burst", burst_ids.len());
     // A Critical verdict with the dump still armed (no canary rollback
     // fired it) is the SLO monitor's own postmortem moment.
-    if report.status == HealthStatus::Critical {
+    if burst.status == HealthStatus::Critical {
         match flight.trigger_postmortem("slo_critical") {
             Some(Ok(_)) => {
                 fbcnn_telemetry::counter_add("postmortem_dumps", &[("trigger", "slo_critical")], 1);
@@ -682,13 +665,7 @@ pub fn run_slo_soak_with_registry(
             None => {}
         }
     }
-    verdicts.push(WindowVerdict {
-        window,
-        phase: "burst".to_string(),
-        status: report.status,
-        violations: report.violations.iter().map(|v| v.render()).collect(),
-        requests: burst_ids.len(),
-    });
+    verdicts.push(burst);
     window += 1;
 
     // --- recovery ----------------------------------------------------
@@ -704,14 +681,7 @@ pub fn run_slo_soak_with_registry(
             &mut failed_ids,
             &mut expected_failed_ids,
         );
-        let report = policy.evaluate(&windowed);
-        verdicts.push(WindowVerdict {
-            window,
-            phase: "recovery".to_string(),
-            status: report.status,
-            violations: report.violations.iter().map(|v| v.render()).collect(),
-            requests: ids.len(),
-        });
+        verdicts.push(verdict(window, "recovery", ids.len()));
         window += 1;
     }
 
@@ -873,7 +843,7 @@ mod tests {
             with_chaos: false,
             ..SloSoakConfig::quick(0x510)
         };
-        let report = run_slo_soak(&cfg).unwrap();
+        let (report, _) = run_slo_soak(&cfg).unwrap();
         if let Err(e) = report.reconcile() {
             panic!("soak failed to reconcile: {e}\nwalk: {:?}", report.verdicts);
         }

@@ -19,6 +19,7 @@
 use fast_bcnn::experiments::ExpConfig;
 
 pub mod baseline;
+pub mod harness;
 pub mod record;
 pub mod trace_lint;
 

@@ -12,13 +12,14 @@
 //! and the soak tests validate the same records, so all three read the
 //! same floors.
 
-use fast_bcnn::chaos::{ChaosReport, SwapChaosReport};
-use fast_bcnn::ledger::check_rows;
-use fast_bcnn::serve::{
+use crate::harness::chaos::{ChaosReport, SwapChaosReport};
+use crate::harness::loadgen::{LoadgenReport, LoadgenTotals};
+use crate::harness::slo::{exact_quantile, SloSoakReport};
+use crate::harness::soak::{
     ServeSoakReport, SuperviseSoakReport, SUPERVISE_HANG_SHARD, SUPERVISE_JAM_SHARD,
     SUPERVISE_PANIC_SHARD,
 };
-use fast_bcnn::slo::{exact_quantile, SloSoakReport};
+use fast_bcnn::ledger::check_rows;
 use fast_bcnn::telemetry::{
     histogram_quantile, HealthStatus, DEFAULT_BUCKETS, QUANTILE_WIDTH_RATIO, STANDARD_QUANTILES,
 };
@@ -468,12 +469,12 @@ impl BenchRecord {
     /// The `serve-v2` record of a serve soak on a `cpus`-CPU host: its
     /// three-way ledger, per-class latency quantiles computed two ways
     /// (bucket-edge estimate over [`DEFAULT_BUCKETS`] and exact same
-    /// rank) and the goodput ratio.
+    /// rank) and the goodput ratio. `cpus` is recorded, never divided
+    /// by: the ratio is host-independent on its own.
     pub fn serve(report: &ServeSoakReport, quick: bool, cpus: usize) -> Self {
         let lg = &report.loadgen.totals;
         let mut ledger = report.ledger();
-        let answered = lg.ok + lg.failed + lg.shed + lg.wire_error_responses + lg.unknown_class;
-        ledger.extend([("responses vs offered", answered, lg.offered)]);
+        ledger.extend([answered_row(lg)]);
         let mut quantiles = BTreeMap::new();
         let (mut checks, mut out_of_bound) = (0, 0);
         for (class, latencies) in &report.loadgen.latencies_ns {
@@ -507,17 +508,6 @@ impl BenchRecord {
                     "requests_per_connection",
                     report.requests_per_connection as u64,
                 ),
-                ("offered", lg.offered),
-                ("ok", lg.ok),
-                ("failed", lg.failed),
-                ("shed", lg.shed),
-                ("expired", lg.expired),
-                ("wire_errors", lg.wire_error_responses),
-                ("unknown_class", lg.unknown_class),
-                ("transport_errors", lg.transport_errors),
-                ("aborted_workers", report.loadgen.aborted_workers),
-                ("bit_checked", lg.bit_checked),
-                ("bit_mismatched", lg.bit_mismatched),
                 ("server_connections", report.server.connections),
                 (
                     "server_connections_rejected",
@@ -531,22 +521,21 @@ impl BenchRecord {
                 ("quantiles_out_of_bound", out_of_bound),
                 ("elapsed_ns", report.elapsed_ns),
             ])
+            .with(loadgen_counts(&report.loadgen))
             .with(quantiles);
-        // Goodput over the host-scaled floor (1k answered req/s at the
-        // 4-CPU reference point, linear in CPUs): dimensionless, so the
-        // baseline diff compares it across hosts.
+        // Goodput over the same run's in-process rate of the reference
+        // engine at the same concurrency: both scale with the host's
+        // speed and cores, so the baseline diff compares it across hosts.
         let goodput = (lg.ok + lg.failed) as f64 / (report.elapsed_ns as f64 / 1e9).max(1e-9);
-        let floor = 1000.0 * cpus as f64 / 4.0;
         record
             .headline
-            .insert("speedup".into(), goodput / floor.max(1e-9));
+            .insert("speedup".into(), goodput / report.reference_rps.max(1e-9));
         record
     }
 
     /// The `supervise-v2` record of a supervision soak on a `cpus`-CPU
     /// host.
     pub fn supervise(report: &SuperviseSoakReport, quick: bool, cpus: usize) -> Self {
-        let lg = &report.loadgen;
         let shard = |i: usize| report.ledger.get(i).copied().unwrap_or_default();
         let poisons = [
             SUPERVISE_PANIC_SHARD,
@@ -557,10 +546,9 @@ impl BenchRecord {
             .iter()
             .filter(|s| report.poisoned.contains(s))
             .count();
-        let answered = lg.ok + lg.failed + lg.shed + lg.wire_error_responses + lg.unknown_class;
         let mut ledger = report.ledger();
         ledger.extend([
-            ("responses vs offered", answered, lg.offered),
+            answered_row(&report.loadgen.totals),
             (
                 "shard ledgers vs shards",
                 report.ledger.len() as u64,
@@ -590,17 +578,6 @@ impl BenchRecord {
                 ("shards", report.shards as u64),
                 ("connections", report.connections as u64),
                 ("bursts", report.bursts),
-                ("offered", lg.offered),
-                ("ok", lg.ok),
-                ("failed", lg.failed),
-                ("shed", lg.shed),
-                ("expired", lg.expired),
-                ("wire_errors", lg.wire_error_responses),
-                ("unknown_class", lg.unknown_class),
-                ("transport_errors", lg.transport_errors),
-                ("aborted_workers", report.aborted_workers),
-                ("bit_checked", lg.bit_checked),
-                ("bit_mismatched", lg.bit_mismatched),
                 ("adversarial_connections", report.adversarial.connections),
                 ("adversarial_rejects", report.adversarial.rejects_received),
                 ("registry_requests", report.registry_requests),
@@ -622,6 +599,73 @@ impl BenchRecord {
                 ("quarantine_elapsed_ns", report.quarantine_elapsed_ns),
                 ("elapsed_ns", report.elapsed_ns),
             ])
+            .with(loadgen_counts(&report.loadgen))
             .with(shards)
+    }
+}
+
+/// The ledger row both TCP soak records add: every offered frame came
+/// back as exactly one kind of response (anything else is a hang).
+fn answered_row(lg: &LoadgenTotals) -> (&'static str, u64, u64) {
+    let answered = lg.ok + lg.failed + lg.shed + lg.wire_error_responses + lg.unknown_class;
+    ("responses vs offered", answered, lg.offered)
+}
+
+/// The client-side counts both TCP soak records carry.
+fn loadgen_counts(report: &LoadgenReport) -> [(&'static str, u64); 11] {
+    let lg = &report.totals;
+    [
+        ("offered", lg.offered),
+        ("ok", lg.ok),
+        ("failed", lg.failed),
+        ("shed", lg.shed),
+        ("expired", lg.expired),
+        ("wire_errors", lg.wire_error_responses),
+        ("unknown_class", lg.unknown_class),
+        ("transport_errors", lg.transport_errors),
+        ("aborted_workers", report.aborted_workers),
+        ("bit_checked", lg.bit_checked),
+        ("bit_mismatched", lg.bit_mismatched),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The serve ratio is a property of the run, not of the host's CPU
+    /// count: the same report gives the same `speedup` at 1 and 8 CPUs.
+    #[test]
+    fn serve_speedup_does_not_depend_on_the_cpu_count() {
+        let report = ServeSoakReport {
+            seed: 11,
+            mode: "closed".to_string(),
+            connections: 2,
+            requests_per_connection: 30,
+            samples: 4,
+            shards: 2,
+            loadgen: LoadgenReport {
+                totals: LoadgenTotals {
+                    offered: 60,
+                    ok: 44,
+                    failed: 4,
+                    ..LoadgenTotals::default()
+                },
+                latencies_ns: BTreeMap::new(),
+                aborted_workers: 0,
+                elapsed_ns: 200_000_000,
+            },
+            server: Default::default(),
+            registry_requests: 48,
+            registry_ok: 44,
+            registry_failed: 4,
+            elapsed_ns: 240_000_000,
+            reference_rps: 400.0,
+        };
+        let speedup = |cpus| BenchRecord::serve(&report, true, cpus).headline["speedup"];
+        assert_eq!(speedup(1), speedup(8));
+        // 48 answered requests in 0.24 s is 200 req/s, half the 400 req/s
+        // the reference engine managed in process.
+        assert!((speedup(1) - 0.5).abs() < 1e-12, "{}", speedup(1));
     }
 }

@@ -333,7 +333,7 @@ impl Engine {
     }
 
     /// Mutable access to the calibrated thresholds — the injection point
-    /// for fault campaigns ([`crate::FaultInjector`]) and manual
+    /// for fault campaigns (`fbcnn_bench::harness::faults`) and manual
     /// overrides. A structurally damaged set surfaces as a typed
     /// [`InferenceError::Thresholds`] from
     /// [`Engine::predict_robust_controlled`].

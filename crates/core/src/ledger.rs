@@ -7,9 +7,9 @@
 //! the first row that drifted. Yes/no invariants (the health walk paged,
 //! a postmortem was emitted) are rows too: `(what, u64::from(cond), 1)`.
 //!
-//! Each soak report declares its ledger (`ChaosReport::ledger`,
-//! `ServeSoakReport::ledger`, …) and its `reconcile()` is that ledger's
-//! `check()`. Bench records carry the rows verbatim, so a record's
+//! Each soak report of the `fbcnn_bench::harness` tree declares its
+//! ledger (`ChaosReport::ledger`, `ServeSoakReport::ledger`, …) and its
+//! `reconcile()` is that ledger's `check()`. Bench records carry the rows verbatim, so a record's
 //! validator re-checks exactly what the run checked.
 
 use serde::{Deserialize, Serialize};

@@ -31,11 +31,9 @@
 
 mod artifact;
 mod batch;
-pub mod chaos;
 mod engine;
 mod error;
 pub mod experiments;
-pub mod faults;
 mod flight;
 pub mod io;
 pub mod ledger;
@@ -43,7 +41,6 @@ mod registry;
 pub mod report;
 mod resilience;
 pub mod serve;
-pub mod slo;
 pub mod supervise;
 mod telemetry_report;
 
@@ -51,7 +48,6 @@ pub use artifact::{ArtifactError, ModelArtifact};
 pub use batch::{BatchConfig, BatchEngine, BatchOutcome, BatchReport, BatchRequest};
 pub use engine::{synth_input, DegradedMode, Engine, EngineConfig, RobustConfig, RobustReport};
 pub use error::{EngineError, InferenceError};
-pub use faults::{ArtifactFault, BitFlip, FaultInjector, LatencySchedule, ThresholdFault};
 pub use flight::{
     FlightLog, FlightRecord, FlightRecorder, DEFAULT_FAILED_CAPACITY, DEFAULT_RING_CAPACITY,
 };

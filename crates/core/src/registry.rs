@@ -326,10 +326,9 @@ impl fmt::Debug for ModelRegistry {
 
 const CANARY_SALT: u64 = 0xCA_4A_12;
 
-/// The deterministic canary predicate, shared by the registry and the
-/// chaos harness (which needs it *before* a registry exists, to key
-/// fault hooks off the same id split).
-pub(crate) fn is_canary(routing_seed: u64, percent: u32, id: u64) -> bool {
+/// The deterministic canary predicate behind
+/// [`ModelRegistry::is_canary_id`].
+fn is_canary(routing_seed: u64, percent: u32, id: u64) -> bool {
     mix64(id ^ routing_seed ^ CANARY_SALT) % 100 < u64::from(percent)
 }
 
@@ -985,7 +984,6 @@ mod tests {
 
     #[test]
     fn poisoned_canary_rolls_back_automatically() {
-        let _quiet = crate::chaos::SilencedChaosPanics::install();
         let engine = tiny_engine(3);
         let artifact = ModelArtifact::from_engine(&engine, 1, "v1");
 
@@ -1074,9 +1072,7 @@ mod tests {
 
     #[test]
     fn supervised_registry_quarantines_rebuilds_and_readmits() {
-        use crate::faults::FaultInjector;
         use crate::supervise::{lock_gate, ShardHealth, SupervisorGate};
-        let _quiet = crate::chaos::SilencedChaosPanics::install();
         let engine = tiny_engine(3);
         let artifact = ModelArtifact::from_engine(&engine, 1, "v1");
 
@@ -1094,13 +1090,19 @@ mod tests {
         let target = 0usize;
         let armed = Arc::new(AtomicBool::new(false));
         let gate: SupervisorGate = Arc::new(Mutex::new(None));
-        cfg.sample_hook = Some(FaultInjector::shard_panic_hook(
-            cfg.routing_seed,
-            cfg.shards,
-            target,
-            Arc::clone(&armed),
-            Arc::clone(&gate),
-        ));
+        // Poisons every request routed to `target` while the shard is
+        // still in the ring, so failed-over and probe traffic runs clean.
+        let (hook_armed, hook_gate) = (Arc::clone(&armed), Arc::clone(&gate));
+        let (seed, shards) = (cfg.routing_seed, cfg.shards);
+        cfg.sample_hook = Some(Arc::new(move |id, _attempt, _sample| {
+            let live = lock_gate(&hook_gate)
+                .as_ref()
+                .is_none_or(|sup| sup.health(target).is_live());
+            if hook_armed.load(Ordering::Relaxed) && shard_route(seed, shards, id) == target && live
+            {
+                panic!("chaos: shard {target} poisoned");
+            }
+        }));
         let registry = ModelRegistry::new(artifact, cfg).unwrap();
         let sup = Arc::clone(registry.supervisor().expect("supervision on"));
         *lock_gate(&gate) = Some(Arc::clone(&sup));

@@ -29,12 +29,11 @@
 //! number of probe requests and only rejoins the ring when enough of
 //! them succeed.
 //!
-//! The serve tier hosts the supervision soak harness
-//! ([`crate::serve::run_supervise_soak_into`]): a TCP serve campaign
-//! with three injected shard-poisoning fault classes and adversarial
-//! clients, reconciled exactly across the loadgen, server and
-//! supervision ledgers. See `docs/REGISTRY.md` for thresholds and
-//! semantics.
+//! The supervision soak (`fbcnn_bench::harness::soak::run_supervise_soak`)
+//! drives this machinery from outside: a TCP serve campaign with three
+//! injected shard-poisoning fault classes and adversarial clients,
+//! reconciled exactly across the loadgen, server and supervision
+//! ledgers. See `docs/REGISTRY.md` for thresholds and semantics.
 
 use crate::error::EngineError;
 use crate::ledger::Ledger;

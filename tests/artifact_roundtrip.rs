@@ -22,9 +22,10 @@
 
 use fast_bcnn::models::{ModelKind, ModelScale};
 use fast_bcnn::{
-    synth_input, ArtifactError, ArtifactFault, BatchRequest, Engine, EngineConfig, FaultInjector,
-    ModelArtifact, ModelRegistry, RegistryConfig,
+    synth_input, ArtifactError, BatchRequest, Engine, EngineConfig, ModelArtifact, ModelRegistry,
+    RegistryConfig,
 };
+use fbcnn_bench::harness::faults::{ArtifactFault, FaultInjector};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;

@@ -22,9 +22,10 @@ use fast_bcnn::models::ModelKind;
 use fast_bcnn::telemetry::{self, parse_exposition, Registry};
 use fast_bcnn::{
     synth_input, BatchConfig, BatchEngine, BatchReport, BatchRequest, DegradedMode, Engine,
-    EngineConfig, FaultInjector, FlightRecorder, InferenceError, PredictiveInference,
-    ResilienceConfig, ResilientBatchEngine, RobustConfig, SkipStats, ThresholdFault,
+    EngineConfig, FlightRecorder, InferenceError, PredictiveInference, ResilienceConfig,
+    ResilientBatchEngine, RobustConfig, SkipStats,
 };
+use fbcnn_bench::harness::faults::{FaultInjector, ThresholdFault};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;

@@ -6,7 +6,7 @@
 //! validating the same bench record the harness binaries write.
 #![allow(dead_code)]
 
-use fast_bcnn::chaos::ChaosReport;
+use fbcnn_bench::harness::chaos::ChaosReport;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

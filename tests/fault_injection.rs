@@ -1,4 +1,4 @@
-//! Fault-injection suite: every fault class from `fast_bcnn::faults` is
+//! Fault-injection suite: every fault class from `fbcnn_bench::harness::faults` is
 //! either *detected* (a typed error names the problem) or *recovered*
 //! (graceful degradation produces a prediction within tolerance of the
 //! exact path). In no case may a fault abort the process — the suite
@@ -10,9 +10,10 @@
 
 use fast_bcnn::models::ModelKind;
 use fast_bcnn::{
-    ActivationGuard, BayesError, Engine, EngineConfig, FaultInjector, GuardPolicy, InferenceError,
-    McDropout, McRequest, RobustConfig, RunControl, ThresholdError, ThresholdFault,
+    ActivationGuard, BayesError, Engine, EngineConfig, GuardPolicy, InferenceError, McDropout,
+    McRequest, RobustConfig, RunControl, ThresholdError,
 };
+use fbcnn_bench::harness::faults::{FaultInjector, ThresholdFault};
 use fbcnn_tensor::Tensor;
 use std::sync::OnceLock;
 

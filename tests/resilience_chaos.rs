@@ -15,9 +15,11 @@
 mod common;
 
 use common::{assert_chaos_contract, golden_dir};
-use fast_bcnn::chaos::{run_chaos, ChaosConfig};
+use fast_bcnn::telemetry::Registry;
+use fbcnn_bench::harness::chaos::{run_chaos, ChaosConfig};
 use fbcnn_bench::BenchRecord;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The headline acceptance soak: the `chaos-v2` volume, coverage and
 /// wall-clock floors with deadline pressure, every loss typed, zero
@@ -27,7 +29,7 @@ use serde::{Deserialize, Serialize};
 #[test]
 fn full_soak_meets_the_acceptance_floors() {
     let cfg = ChaosConfig::full(5);
-    let report = run_chaos(&cfg);
+    let report = run_chaos(&cfg, &Arc::new(Registry::new()));
     assert_chaos_contract(&report, "full soak");
     BenchRecord::chaos(&report, false)
         .validate()
@@ -118,7 +120,7 @@ struct GoldenChaosFixture {
 }
 
 fn compute_fixture(cfg: &GoldenChaosConfig) -> GoldenChaosFixture {
-    let report = run_chaos(&cfg.campaign());
+    let report = run_chaos(&cfg.campaign(), &Arc::new(Registry::new()));
     assert_chaos_contract(&report, "deterministic campaign");
     GoldenChaosFixture {
         config: cfg.clone(),

@@ -13,9 +13,10 @@
 use fast_bcnn::models::ModelKind;
 use fast_bcnn::{
     synth_input, BatchConfig, BatchEngine, BatchRequest, CancelToken, DegradedMode, Engine,
-    EngineConfig, FaultInjector, ResilienceConfig, ResilientBatchEngine, RetryPolicy, RobustConfig,
-    RunControl, SeededJitter,
+    EngineConfig, ResilienceConfig, ResilientBatchEngine, RetryPolicy, RobustConfig, RunControl,
+    SeededJitter,
 };
+use fbcnn_bench::harness::faults::FaultInjector;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;

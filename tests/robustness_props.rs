@@ -6,9 +6,8 @@
 //! sanity check.
 
 use fast_bcnn::models::ModelKind;
-use fast_bcnn::{
-    ActivationGuard, Engine, EngineConfig, FaultInjector, InferenceError, ThresholdSet,
-};
+use fast_bcnn::{ActivationGuard, Engine, EngineConfig, InferenceError, ThresholdSet};
+use fbcnn_bench::harness::faults::FaultInjector;
 use fbcnn_nn::Workspace;
 use proptest::prelude::*;
 use std::sync::OnceLock;

@@ -17,10 +17,12 @@ mod common;
 
 use common::golden_dir;
 use fast_bcnn::serve::{
-    encode_frame, serve, soak_classes, FrameDecoder, LoadMode, ServeConfig, ServeRequest,
-    ServeResponse, ServeSoakConfig, ServeTotals, DEFAULT_MAX_FRAME_BYTES, REQUEST_KIND,
+    encode_frame, serve, FrameDecoder, ServeConfig, ServeRequest, ServeResponse, ServeTotals,
+    DEFAULT_MAX_FRAME_BYTES, REQUEST_KIND,
 };
 use fast_bcnn::synth_input;
+use fbcnn_bench::harness::loadgen::LoadMode;
+use fbcnn_bench::harness::soak::{build_soak_registry, soak_classes, ServeSoakConfig};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -130,8 +132,7 @@ fn pinned_plan(cfg: &GoldenServeConfig, shape: fbcnn_tensor::Shape) -> Vec<(Stri
 /// seeded server and returns every wire exchange plus the final server
 /// totals. Everything here must be a pure function of the pinned config.
 fn run_campaign(cfg: &GoldenServeConfig) -> (Vec<GoldenExchange>, ServeTotals) {
-    let (registry, reference) =
-        fast_bcnn::serve::build_soak_registry(&cfg.soak()).expect("registry boots");
+    let (registry, reference) = build_soak_registry(&cfg.soak()).expect("registry boots");
     let server = serve(
         Arc::clone(&registry),
         ServeConfig {

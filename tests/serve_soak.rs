@@ -11,13 +11,16 @@
 mod common;
 
 use common::{is_typed_reason, is_wire_reason};
-use fast_bcnn::serve::{run_serve_soak, ServeSoakConfig};
+use fast_bcnn::telemetry::Registry;
+use fbcnn_bench::harness::soak::{run_serve_soak, ServeSoakConfig};
 use fbcnn_bench::BenchRecord;
+use std::sync::Arc;
 
 #[test]
 fn full_serve_soak_reconciles_exactly_and_meets_the_floors() {
     let cfg = ServeSoakConfig::full(7);
-    let report = run_serve_soak(&cfg).expect("soak registry and server boot");
+    let report =
+        run_serve_soak(&cfg, &Arc::new(Registry::new())).expect("soak registry and server boot");
     let lg = &report.loadgen.totals;
     let sv = &report.server;
 
@@ -91,7 +94,8 @@ fn cpus() -> usize {
 /// a smaller campaign is not allowed to be a weaker one.
 #[test]
 fn quick_serve_soak_holds_the_same_contract() {
-    let report = run_serve_soak(&ServeSoakConfig::quick(11)).expect("soak boots");
+    let report = run_serve_soak(&ServeSoakConfig::quick(11), &Arc::new(Registry::new()))
+        .expect("soak boots");
     report
         .reconcile()
         .unwrap_or_else(|e| panic!("quick ledgers did not reconcile: {e}"));

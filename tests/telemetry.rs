@@ -15,10 +15,10 @@
 use fast_bcnn::models::ModelKind;
 use fast_bcnn::telemetry::{self, Registry};
 use fast_bcnn::{
-    DegradedMode, Engine, EngineConfig, FaultInjector, McDropout, RobustConfig, RunControl,
-    SkipStats, ThresholdFault,
+    DegradedMode, Engine, EngineConfig, McDropout, RobustConfig, RunControl, SkipStats,
 };
 use fbcnn_bayes::BayesianNetwork;
+use fbcnn_bench::harness::faults::{FaultInjector, ThresholdFault};
 use fbcnn_nn::Workspace;
 use fbcnn_tensor::stats::softmax;
 use fbcnn_tensor::Tensor;
