@@ -1,7 +1,7 @@
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::{NodeId, Op};
-use fbcnn_predictor::{build_skip_maps, PolarityIndicators, SkipStats, ThresholdSet};
-use fbcnn_tensor::{BitMask, Shape, Tensor};
+use fbcnn_predictor::{PredictiveInference, SkipStats, ThresholdSet};
+use fbcnn_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Static description of one convolution layer, as seen by the cycle
@@ -87,9 +87,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Extracts the workload: one pre-inference plus `t` exact dropout
-    /// passes, with skip maps built from the masks, the pre-inference
-    /// zero index and `thresholds`.
+    /// Extracts the workload: one pre-inference plus the skip maps of
+    /// `t` samples, built from the masks `generate_masks(seed, 0..t)`, the
+    /// pre-inference zero index and `thresholds`. No dropout pass runs:
+    /// the predictor state and the skip maps are exactly those of
+    /// [`PredictiveInference::run_sample`] under the same masks.
     ///
     /// # Panics
     ///
@@ -103,21 +105,10 @@ impl Workload {
     ) -> Self {
         assert!(t > 0, "workload needs at least one sample");
         let net = bnet.network();
-        let indicators = PolarityIndicators::from_network(net);
-        let pre = bnet.forward_deterministic(input);
-        let zero_masks: Vec<Option<BitMask>> = net
-            .nodes()
-            .iter()
-            .map(|n| {
-                n.layer()
-                    .filter(|l| l.is_conv())
-                    .map(|_| pre.activations[n.id().0].zero_mask())
-            })
-            .collect();
+        let predictor = PredictiveInference::new(bnet, input, thresholds.clone());
+        let pre = predictor.pre_inference();
 
-        // Static layer descriptions. `upstream_dropout` is structural, so
-        // probe it with an arbitrary mask set.
-        let probe_masks = bnet.generate_masks(seed, 0);
+        // Static layer descriptions.
         let layers: Vec<LayerWork> = net
             .conv_nodes()
             .into_iter()
@@ -134,8 +125,7 @@ impl Workload {
                     n: conv.in_channels(),
                     m: conv.out_channels(),
                     out_shape: net.shape(node),
-                    upstream_dropout: fbcnn_predictor::input_drop_mask(net, &probe_masks, node)
-                        .is_some(),
+                    upstream_dropout: predictor.shared().upstream_dropout(node),
                 }
             })
             .collect();
@@ -168,8 +158,7 @@ impl Workload {
 
         let samples = (0..t)
             .map(|s| {
-                let masks = bnet.generate_masks(seed, s);
-                let maps = build_skip_maps(net, &masks, &zero_masks, &indicators, thresholds);
+                let maps = predictor.skip_maps(&bnet.generate_masks(seed, s));
                 let per_layer = layers
                     .iter()
                     .zip(&densities)

@@ -331,23 +331,6 @@ mod tests {
     const THREADS: [usize; 4] = [1, 2, 3, 16];
 
     #[test]
-    fn parallel_run_is_bit_identical_to_sequential() {
-        let (bnet, input) = setup();
-        let runner = McDropout::new(7, 13);
-        let seq = runner.run(&bnet, &input);
-        let request = [McRequest {
-            input: &input,
-            seed: 13,
-        }];
-        for threads in THREADS {
-            let mut runs = runner.run_batch(&bnet, &request, threads).unwrap();
-            let run = runs.pop().unwrap();
-            assert!(run.failed.is_empty());
-            assert_eq!(seq, run.prediction, "divergence at {threads} threads");
-        }
-    }
-
-    #[test]
     fn uncertainty_is_nonnegative_and_bounded() {
         let (bnet, input) = setup();
         let pred = McDropout::new(8, 3).run(&bnet, &input);
@@ -451,67 +434,6 @@ mod tests {
             1,
             poison_sample_two(&bnet, 21),
         ));
-    }
-
-    #[test]
-    fn batch_requests_match_standalone_runs_bit_for_bit() {
-        let (bnet, input) = setup();
-        let mut shifted = input.clone();
-        shifted.set(0, 0.9);
-        let runner = McDropout::new(5, 0); // runner seed is not consulted
-        let requests = [
-            McRequest {
-                input: &input,
-                seed: crate::derive_request_seed(77, 0),
-            },
-            McRequest {
-                input: &shifted,
-                seed: crate::derive_request_seed(77, 1),
-            },
-            McRequest {
-                input: &input,
-                seed: crate::derive_request_seed(77, 2),
-            },
-        ];
-        for threads in THREADS {
-            let batch = runner.run_batch(&bnet, &requests, threads).unwrap();
-            assert_eq!(batch.len(), 3);
-            for (req, run) in requests.iter().zip(&batch) {
-                assert!(run.failed.is_empty());
-                let standalone = McDropout::new(5, req.seed).run(&bnet, req.input);
-                assert_eq!(
-                    run.prediction, standalone,
-                    "batch diverged from standalone at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_results_are_invariant_under_composition() {
-        let (bnet, input) = setup();
-        let runner = McDropout::new(3, 0);
-        let reqs: Vec<McRequest> = (0..4)
-            .map(|id| McRequest {
-                input: &input,
-                seed: crate::derive_request_seed(9, id),
-            })
-            .collect();
-        let full = runner.run_batch(&bnet, &reqs, 2).unwrap();
-        // Reversed ordering: request r's result only moves position.
-        let reversed: Vec<McRequest> = reqs.iter().rev().copied().collect();
-        let rev = runner.run_batch(&bnet, &reversed, 2).unwrap();
-        for (i, run) in full.iter().enumerate() {
-            assert_eq!(
-                run.prediction,
-                rev[3 - i].prediction,
-                "order changed result"
-            );
-        }
-        // A sub-batch: different batch-mates, same per-request result.
-        let sub = runner.run_batch(&bnet, &reqs[1..3], 2).unwrap();
-        assert_eq!(sub[0].prediction, full[1].prediction);
-        assert_eq!(sub[1].prediction, full[2].prediction);
     }
 
     #[test]

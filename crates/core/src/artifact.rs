@@ -319,25 +319,6 @@ mod tests {
         })
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("fbcnn_artifact_{name}_{}.json", std::process::id()))
-    }
-
-    #[test]
-    fn export_load_roundtrip_is_identical() {
-        let engine = tiny_engine(11);
-        let artifact = ModelArtifact::from_engine(&engine, 3, "unit");
-        artifact.validate().unwrap();
-        let path = tmp("roundtrip");
-        artifact.save(&path).unwrap();
-        let back = ModelArtifact::load(&path).unwrap();
-        assert_eq!(artifact, back);
-        let rebuilt = back.into_engine().unwrap();
-        assert_eq!(rebuilt.network(), engine.network());
-        assert_eq!(rebuilt.thresholds(), engine.thresholds());
-        let _ = std::fs::remove_file(path);
-    }
-
     #[test]
     fn digest_detects_value_level_corruption() {
         let engine = tiny_engine(5);

@@ -427,25 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_robust_calls() {
-        let engine = small_engine();
-        let reqs = requests(&engine, 5);
-        let batch = BatchEngine::new(engine.clone(), BatchConfig::default());
-        let report = batch.run_batch(&reqs);
-        assert!(report.all_ok());
-        assert_eq!(report.depth, 5);
-        for (req, outcome) in reqs.iter().zip(&report.outcomes) {
-            assert_eq!(req.id, outcome.id);
-            let (seq_pred, seq_report) = engine
-                .predict_robust_seeded(&req.input, outcome.seed)
-                .unwrap();
-            let (batch_pred, batch_report) = outcome.result.as_ref().unwrap();
-            assert_eq!(batch_pred, &seq_pred, "request {} diverged", req.id);
-            assert_eq!(batch_report, &seq_report);
-        }
-    }
-
-    #[test]
     fn repeated_inputs_hit_the_cache_without_changing_results() {
         let engine = small_engine();
         // 6 requests over 3 distinct inputs: second occurrence hits.
@@ -467,38 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn results_are_invariant_under_thread_count() {
-        let engine = small_engine();
-        let reqs = requests(&engine, 4);
-        let reference: Vec<Prediction> = {
-            let batch = BatchEngine::new(engine.clone(), BatchConfig::default());
-            batch
-                .run_batch(&reqs)
-                .outcomes
-                .into_iter()
-                .map(|o| o.result.unwrap().0)
-                .collect()
-        };
-        for threads in [2, 4] {
-            let batch = BatchEngine::new(
-                engine.clone(),
-                BatchConfig {
-                    threads,
-                    ..BatchConfig::default()
-                },
-            );
-            let report = batch.run_batch(&reqs);
-            for (i, outcome) in report.outcomes.into_iter().enumerate() {
-                assert_eq!(
-                    outcome.result.unwrap().0,
-                    reference[i],
-                    "request {i} diverged at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn a_bad_request_fails_alone() {
         let engine = small_engine();
         let mut reqs = requests(&engine, 3);
@@ -512,34 +461,6 @@ mod tests {
             Err(InferenceError::Input(_))
         ));
         assert!(report.outcomes[2].result.is_ok());
-    }
-
-    #[test]
-    fn exact_batch_matches_predict_exact_per_request_seed() {
-        let engine = small_engine();
-        let reqs = requests(&engine, 3);
-        let batch = BatchEngine::new(engine.clone(), BatchConfig::default());
-        let exact = batch.predict_exact_batch(&reqs).unwrap();
-        for (req, pred) in reqs.iter().zip(&exact) {
-            let seed = req.resolved_seed(engine.config().seed);
-            let standalone = McDropout::new(engine.config().samples, seed)
-                .run(engine.bayesian_network(), &req.input);
-            assert_eq!(pred, &standalone);
-        }
-    }
-
-    #[test]
-    fn seed_override_is_honored() {
-        let engine = small_engine();
-        let input = synth_input(engine.network().input_shape(), 42);
-        let mut req = BatchRequest::new(9, input.clone());
-        req.seed = Some(777);
-        assert_eq!(req.resolved_seed(engine.config().seed), 777);
-        let batch = BatchEngine::new(engine.clone(), BatchConfig::default());
-        let report = batch.run_batch(std::slice::from_ref(&req));
-        let (pred, _) = report.outcomes[0].result.as_ref().unwrap().clone();
-        let (seq, _) = engine.predict_robust_seeded(&input, 777).unwrap();
-        assert_eq!(pred, seq);
     }
 
     #[test]

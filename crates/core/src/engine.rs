@@ -709,9 +709,9 @@ impl Engine {
         ))
     }
 
-    /// Extracts the accelerator workload for an input (pre-inference +
-    /// `T` exact passes + skip maps), reusable across hardware
-    /// configurations.
+    /// Extracts the accelerator workload for an input (one pre-inference
+    /// plus the skip maps of `T` samples; no dropout pass runs), reusable
+    /// across hardware configurations.
     pub fn workload(&self, input: &Tensor) -> Workload {
         Workload::build(
             &self.bnet,

@@ -1464,32 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn no_fault_run_batch_is_bit_identical_to_sequential_calls() {
-        let engine = small_engine();
-        let reqs = requests(&engine, 4);
-        for threads in [1, 2, 4] {
-            let layer = resilient_on(threads, ResilienceConfig::default());
-            let report = layer.run_batch(&reqs);
-            report.reconcile().unwrap();
-            assert!(report.transitions.is_empty());
-            for (req, o) in reqs.iter().zip(&report.outcomes) {
-                assert_eq!(o.attempts, 1);
-                assert!(!o.expired && !o.shed && !o.forced_exact);
-                let (pred, rep) = o.outcome.result.as_ref().unwrap();
-                let (seq_pred, seq_rep) = engine
-                    .predict_robust_seeded(&req.input, o.outcome.seed)
-                    .unwrap();
-                assert_eq!(
-                    pred, &seq_pred,
-                    "request {} diverged at {threads} threads",
-                    req.id
-                );
-                assert_eq!(rep, &seq_rep);
-            }
-        }
-    }
-
-    #[test]
     fn shed_policies_pick_the_right_victims() {
         let engine = small_engine();
         let reqs = requests(&engine, 6);

@@ -342,7 +342,8 @@ impl Network {
 
     /// Like [`Network::eval_node`], but layer nodes run through the fast
     /// path ([`Layer::forward_ws`]), reusing the scratch buffers in `ws`.
-    /// Output equals [`Network::eval_node`] under `==`.
+    /// Output has the same bits as [`Network::eval_node`], except that a
+    /// NaN may differ in sign or payload (see [`crate::Conv2d::forward_ws`]).
     ///
     /// # Panics
     ///

@@ -47,7 +47,8 @@ impl Layer {
     /// Runs the layer through the fast path: convolutions take the
     /// im2col + blocked kernel via [`Conv2d::forward_ws`] (reusing the
     /// scratch buffers in `ws`), other layers fall through to
-    /// [`Layer::forward`]. Output equals [`Layer::forward`] under `==`.
+    /// [`Layer::forward`]. Output has the same bits as [`Layer::forward`],
+    /// except that a NaN may differ in sign or payload.
     ///
     /// # Panics
     ///

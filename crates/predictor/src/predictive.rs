@@ -2,7 +2,7 @@ use crate::skipmap::{build_skip_maps, total_stats, SkipMap, SkipStats};
 use crate::{PolarityIndicators, ThresholdError, ThresholdSet};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::{BayesianNetwork, SampleRun};
-use fbcnn_nn::{NnError, Workspace};
+use fbcnn_nn::{NnError, NodeId, Workspace};
 use fbcnn_tensor::{BitMask, Tensor};
 use std::fmt;
 use std::sync::Arc;
@@ -90,6 +90,12 @@ impl PredictorShared {
     /// The thresholds this state was built from.
     pub fn thresholds(&self) -> &ThresholdSet {
         &self.thresholds
+    }
+
+    /// Whether `node`'s inputs carry dropout. `false` means the node sees
+    /// identical inputs in every sample (the first-layer shortcut).
+    pub fn upstream_dropout(&self, node: NodeId) -> bool {
+        self.upstream_dropout[node.0]
     }
 }
 
@@ -339,6 +345,18 @@ impl<'a> PredictiveInference<'a> {
         (probs, stats)
     }
 
+    /// The per-node skip maps of one sample under `masks` (conv nodes
+    /// only): the decisions [`PredictiveInference::run_sample`] acts on.
+    pub fn skip_maps(&self, masks: &DropoutMasks) -> Vec<Option<SkipMap>> {
+        build_skip_maps(
+            self.bnet.network(),
+            masks,
+            &self.prepared.zero_masks,
+            &self.shared.indicators,
+            &self.shared.thresholds,
+        )
+    }
+
     /// Runs one skipping sample inference under the given dropout masks.
     ///
     /// When a telemetry recorder is installed, each call emits the
@@ -351,13 +369,7 @@ impl<'a> PredictiveInference<'a> {
         let skip_maps = {
             let _phase =
                 fbcnn_telemetry::span_with("phase", || vec![("stage".into(), "prediction".into())]);
-            build_skip_maps(
-                net,
-                masks,
-                &self.prepared.zero_masks,
-                &self.shared.indicators,
-                &self.shared.thresholds,
-            )
+            self.skip_maps(masks)
         };
         if fbcnn_telemetry::enabled() {
             for &node in &net.conv_nodes() {
@@ -389,7 +401,7 @@ impl<'a> PredictiveInference<'a> {
                     return Ok::<_, NnError>(net.eval_node(node, ins));
                 };
                 let map = skip_maps[id.0].as_ref().expect("conv nodes have skip maps");
-                if !self.shared.upstream_dropout[id.0] {
+                if !self.shared.upstream_dropout(id) {
                     // First-layer shortcut: inputs are identical to the
                     // pre-inference, so reuse its outputs and just apply the
                     // dropout bits.
@@ -424,64 +436,6 @@ mod tests {
             ((r * 7 + c * 3) % 13) as f32 / 13.0
         });
         (bnet, input)
-    }
-
-    #[test]
-    fn never_predict_reproduces_exact_inference() {
-        // With prediction disabled, skipping covers exactly the dropped
-        // neurons, which are zero in the exact pass too — so the runs must
-        // agree bit-for-bit.
-        let (bnet, input) = setup();
-        let thresholds = ThresholdSet::never_predict(bnet.network().len());
-        let engine = PredictiveInference::new(&bnet, &input, thresholds);
-        for t in 0..3 {
-            let masks = bnet.generate_masks(21, t);
-            let exact = bnet.forward_sample(&input, &masks);
-            let skipped = engine.run_sample(&masks);
-            for (a, b) in exact.activations.iter().zip(&skipped.activations) {
-                assert_eq!(a, b, "sample {t} diverged with prediction off");
-            }
-        }
-    }
-
-    #[test]
-    fn computed_neurons_are_bit_identical_while_inputs_agree() {
-        // Bit-identity holds layer by layer as long as the layer's inputs
-        // are untouched by mispredictions. Layer 1 uses the shortcut
-        // (exact by construction) and therefore layer 2's inputs agree
-        // with the exact run; from layer 3 onward forced zeros upstream
-        // may legitimately change computed values.
-        let (bnet, input) = setup();
-        let thresholds = ThresholdOptimizer::default().optimize(&bnet, &input, 3);
-        let engine = PredictiveInference::new(&bnet, &input, thresholds);
-        let masks = bnet.generate_masks(8, 0);
-        let exact = bnet.forward_sample(&input, &masks);
-        let skipped = engine.run_sample(&masks);
-        for &node in bnet.network().conv_nodes().iter().take(2) {
-            let map = skipped.skip_maps[node.0].as_ref().unwrap();
-            let (a, b) = (&exact.activations[node.0], &skipped.activations[node.0]);
-            for i in 0..a.len() {
-                if !map.is_skipped(i) {
-                    assert_eq!(a.at(i), b.at(i), "non-skipped neuron {i} differs");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn skipped_neurons_are_zero() {
-        let (bnet, input) = setup();
-        let thresholds = ThresholdOptimizer::default().optimize(&bnet, &input, 3);
-        let engine = PredictiveInference::new(&bnet, &input, thresholds);
-        let masks = bnet.generate_masks(8, 1);
-        let run = engine.run_sample(&masks);
-        for &node in &bnet.network().conv_nodes() {
-            let map = run.skip_maps[node.0].as_ref().unwrap();
-            let act = &run.activations[node.0];
-            for i in map.skip.iter_set() {
-                assert_eq!(act.at(i), 0.0);
-            }
-        }
     }
 
     #[test]
@@ -530,32 +484,6 @@ mod tests {
                 crate::ThresholdError::NotAConvNode { node: 0 }
             ))
         ));
-    }
-
-    #[test]
-    fn from_parts_is_bit_identical_to_new() {
-        // The serving layer builds inferences from one shared state and a
-        // cached prepared input; that route must reproduce `new` exactly.
-        let (bnet, input) = setup();
-        let thresholds = ThresholdOptimizer::default().optimize(&bnet, &input, 3);
-        let direct = PredictiveInference::new(&bnet, &input, thresholds.clone());
-        let shared = std::sync::Arc::new(PredictorShared::new(&bnet, thresholds));
-        let prepared = std::sync::Arc::new(PreparedInput::new(&bnet, &input));
-        let assembled = PredictiveInference::from_parts(&bnet, shared.clone(), prepared.clone());
-        for t in 0..3 {
-            let masks = bnet.generate_masks(31, t);
-            let a = direct.run_sample(&masks);
-            let b = assembled.run_sample(&masks);
-            assert_eq!(a.activations, b.activations, "sample {t} diverged");
-            assert_eq!(a.skip_maps, b.skip_maps, "sample {t} skip maps diverged");
-        }
-        // The same Arcs serve a second request without re-preparation.
-        let again = PredictiveInference::from_parts(&bnet, shared, prepared);
-        let masks = bnet.generate_masks(31, 0);
-        assert_eq!(
-            again.run_sample(&masks).activations,
-            direct.run_sample(&masks).activations
-        );
     }
 
     #[test]

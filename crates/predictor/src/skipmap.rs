@@ -162,37 +162,26 @@ pub fn total_stats(maps: &[Option<SkipMap>]) -> SkipStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThresholdOptimizer;
+    use crate::{PredictiveInference, ThresholdOptimizer};
     use fbcnn_bayes::BayesianNetwork;
     use fbcnn_nn::models;
     use fbcnn_tensor::{Shape, Tensor};
 
-    fn setup() -> (BayesianNetwork, Tensor, ThresholdSet, PolarityIndicators) {
+    /// LeNet-5's skip maps for one sample under calibrated thresholds.
+    fn setup() -> (BayesianNetwork, Vec<Option<SkipMap>>) {
         let bnet = BayesianNetwork::new(models::lenet5(3), 0.3);
         let input = Tensor::from_fn(bnet.network().input_shape(), |_, r, c| {
             ((r * 3 + c * 5) % 11) as f32 / 11.0
         });
         let thresholds = ThresholdOptimizer::default().optimize(&bnet, &input, 9);
-        let indicators = PolarityIndicators::from_network(bnet.network());
-        (bnet, input, thresholds, indicators)
+        let maps = PredictiveInference::new(&bnet, &input, thresholds)
+            .skip_maps(&bnet.generate_masks(4, 0));
+        (bnet, maps)
     }
 
     #[test]
     fn skip_is_union_of_components() {
-        let (bnet, input, thresholds, indicators) = setup();
-        let net = bnet.network();
-        let pre = bnet.forward_deterministic(&input);
-        let zero_masks: Vec<Option<BitMask>> = net
-            .nodes()
-            .iter()
-            .map(|n| {
-                n.layer()
-                    .filter(|l| l.is_conv())
-                    .map(|_| pre.activations[n.id().0].zero_mask())
-            })
-            .collect();
-        let masks = bnet.generate_masks(4, 0);
-        let maps = build_skip_maps(net, &masks, &zero_masks, &indicators, &thresholds);
+        let (_, maps) = setup();
         for map in maps.iter().flatten() {
             for i in 0..map.skip.len() {
                 assert_eq!(map.skip.get(i), map.dropped.get(i) || map.predicted.get(i));
@@ -206,21 +195,8 @@ mod tests {
 
     #[test]
     fn first_layer_skips_only_dropped() {
-        let (bnet, input, thresholds, indicators) = setup();
-        let net = bnet.network();
-        let pre = bnet.forward_deterministic(&input);
-        let zero_masks: Vec<Option<BitMask>> = net
-            .nodes()
-            .iter()
-            .map(|n| {
-                n.layer()
-                    .filter(|l| l.is_conv())
-                    .map(|_| pre.activations[n.id().0].zero_mask())
-            })
-            .collect();
-        let masks = bnet.generate_masks(4, 0);
-        let maps = build_skip_maps(net, &masks, &zero_masks, &indicators, &thresholds);
-        let first = net.conv_nodes()[0];
+        let (bnet, maps) = setup();
+        let first = bnet.network().conv_nodes()[0];
         let map = maps[first.0].as_ref().unwrap();
         assert_eq!(map.predicted.count_ones(), 0);
         assert_eq!(&map.skip, &map.dropped);
@@ -228,21 +204,8 @@ mod tests {
 
     #[test]
     fn later_layers_predict_something() {
-        let (bnet, input, thresholds, indicators) = setup();
-        let net = bnet.network();
-        let pre = bnet.forward_deterministic(&input);
-        let zero_masks: Vec<Option<BitMask>> = net
-            .nodes()
-            .iter()
-            .map(|n| {
-                n.layer()
-                    .filter(|l| l.is_conv())
-                    .map(|_| pre.activations[n.id().0].zero_mask())
-            })
-            .collect();
-        let masks = bnet.generate_masks(4, 0);
-        let maps = build_skip_maps(net, &masks, &zero_masks, &indicators, &thresholds);
-        let second = net.conv_nodes()[1];
+        let (bnet, maps) = setup();
+        let second = bnet.network().conv_nodes()[1];
         let map = maps[second.0].as_ref().unwrap();
         assert!(
             map.predicted.count_ones() > 0,
