@@ -52,28 +52,34 @@ fn elapsed_ns<R>(f: &mut impl FnMut() -> R) -> u64 {
     start.elapsed().as_nanos() as u64
 }
 
-/// Minimum wall-clock of `a` and of `b` over `reps` calls each, after one
-/// warmup each. The two sides alternate rep by rep, and which side goes
-/// first alternates too, so a slow stretch of a shared host (or an order
-/// effect within a pair) lands on both sides instead of on one.
-fn min_ns_interleaved<R, S>(
+/// Median over `reps` adjacent pairs of the ratio `time(b) / time(a)`,
+/// after one warmup each. The two calls of a pair run back to back, and
+/// which side goes first alternates, so a slow or fast stretch of a
+/// shared host scales both halves of a pair alike and cancels in its
+/// ratio; the median drops the pairs a stretch boundary splits. (A
+/// ratio of per-side minima does not cancel it: a short fast stretch
+/// that only one side catches sets that side's minimum alone.)
+fn median_ratio_paired<R, S>(
     reps: usize,
     mut a: impl FnMut() -> R,
     mut b: impl FnMut() -> S,
-) -> (u64, u64) {
+) -> f64 {
     std::hint::black_box(a());
     std::hint::black_box(b());
-    let (mut best_a, mut best_b) = (u64::MAX, u64::MAX);
-    for rep in 0..reps {
-        if rep % 2 == 0 {
-            best_a = best_a.min(elapsed_ns(&mut a));
-            best_b = best_b.min(elapsed_ns(&mut b));
-        } else {
-            best_b = best_b.min(elapsed_ns(&mut b));
-            best_a = best_a.min(elapsed_ns(&mut a));
-        }
-    }
-    (best_a, best_b)
+    let mut ratios: Vec<f64> = (0..reps)
+        .map(|rep| {
+            let (ta, tb) = if rep % 2 == 0 {
+                let ta = elapsed_ns(&mut a);
+                (ta, elapsed_ns(&mut b))
+            } else {
+                let tb = elapsed_ns(&mut b);
+                (elapsed_ns(&mut a), tb)
+            };
+            tb as f64 / ta as f64
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[reps / 2]
 }
 
 #[test]
@@ -116,13 +122,11 @@ fn disabled_telemetry_costs_under_five_percent() {
         "instrumentation must not change results"
     );
 
-    let reps = 30;
-    let (base_ns, inst_ns) = min_ns_interleaved(reps, baseline, instrumented);
-    let overhead = inst_ns as f64 / base_ns as f64 - 1.0;
+    let reps = 120;
+    let overhead = median_ratio_paired(reps, baseline, instrumented) - 1.0;
     assert!(
         overhead < 0.05,
-        "disabled telemetry overhead {:.2}% (baseline {base_ns} ns, instrumented {inst_ns} ns) \
-         exceeds the 5% budget",
+        "disabled telemetry overhead {:.2}% (median of {reps} paired ratios) exceeds the 5% budget",
         overhead * 100.0
     );
 }
