@@ -13,8 +13,8 @@
 //! and [`fast_bcnn::Engine::predict_robust_controlled`];
 //! `tests/fault_injection.rs` closes the loop.
 
-use fast_bcnn::supervise::{lock_gate, shard_route, SupervisorGate};
-use fast_bcnn::{ModelArtifact, RequestSampleHook};
+use fast_bcnn::supervise::shard_route;
+use fast_bcnn::{ModelArtifact, RequestSampleHook, Supervisor};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::{Network, NodeId};
@@ -22,8 +22,21 @@ use fbcnn_predictor::{PolarityIndicators, ThresholdSet};
 use fbcnn_tensor::{BitMask, Shape, Tensor};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// A late-bound handle to a [`Supervisor`], for fault injectors built
+/// before the registry (and thus the supervisor) exists. The chaos
+/// harness fills the slot after boot; a hook holding the gate consults
+/// the supervisor's live health on every fire, so a shard poison dies
+/// with its shard's quarantine instead of chasing failed-over requests
+/// onto healthy shards.
+pub type SupervisorGate = Arc<Mutex<Option<Arc<Supervisor>>>>;
+
+/// Poison-tolerant lock on a [`SupervisorGate`].
+pub fn lock_gate(gate: &SupervisorGate) -> MutexGuard<'_, Option<Arc<Supervisor>>> {
+    gate.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Whether the gate's supervisor (if the gate is filled yet) still
 /// reports `shard` in the routing ring. An unfilled gate reports live —
@@ -595,7 +608,7 @@ mod tests {
         let _quiet = crate::harness::SilencedChaosPanics::install();
         let (seed, shards, target) = (0x5EED, 2usize, 0usize);
         let armed = Arc::new(AtomicBool::new(true));
-        let gate: SupervisorGate = Arc::new(std::sync::Mutex::new(None));
+        let gate: SupervisorGate = Arc::new(Mutex::new(None));
         let hook = FaultInjector::shard_panic_hook(
             seed,
             shards,

@@ -5,14 +5,14 @@
 //! registry version counters, supervision — reconciled exactly.
 
 use super::chaos::boot_registry_via_disk;
-use super::faults::FaultInjector;
+use super::faults::{lock_gate, FaultInjector, SupervisorGate};
 use super::loadgen::{
     run_adversarial, run_loadgen, AdversarialConfig, AdversarialReport, LoadMode, LoadgenConfig,
     LoadgenReport,
 };
 use super::{record_into, soak_engine_config, SilencedChaosPanics};
 use fast_bcnn::serve::{serve, ClassPolicy, ServeConfig, ServeTotals, WireError};
-use fast_bcnn::supervise::{lock_gate, ShardHealth, ShardLedger, SuperviseConfig, SupervisorGate};
+use fast_bcnn::supervise::{ShardHealth, ShardLedger, SuperviseConfig};
 use fast_bcnn::telemetry::Registry;
 use fast_bcnn::{
     synth_input, Engine, Ledger, ModelArtifact, ModelRegistry, NoJitter, RegistryConfig,

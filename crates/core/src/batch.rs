@@ -5,7 +5,8 @@
 //!
 //! * the input-invariant predictor state
 //!   ([`fbcnn_predictor::PredictorShared`]: thresholds, indicator maps,
-//!   structural flags) is built once and `Arc`-shared by every request;
+//!   structural flags) lives on the wrapped [`Engine`], which builds it
+//!   once and `Arc`-shares it with every request, batched or not;
 //! * per-input pre-inference products ([`PreparedInput`]) are cached by
 //!   input fingerprint, so a repeated input skips the dropout-free pass
 //!   and goes straight to mask generation;
@@ -35,7 +36,7 @@ use crate::error::InferenceError;
 use crate::resilience::RunControl;
 use fbcnn_bayes::{derive_request_seed, McDropout, McRequest, Prediction};
 use fbcnn_nn::Workspace;
-use fbcnn_predictor::{PredictiveInference, PredictorShared, PreparedInput};
+use fbcnn_predictor::{PredictiveInference, PreparedInput};
 use fbcnn_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -195,25 +196,21 @@ impl PreCache {
 pub struct BatchEngine {
     engine: Engine,
     cfg: BatchConfig,
-    shared: Arc<PredictorShared>,
     cache: Mutex<PreCache>,
     workspaces: Mutex<Vec<Workspace>>,
 }
 
 impl BatchEngine {
-    /// Wraps an engine for batched serving, building the shared
-    /// predictor state once.
+    /// Wraps an engine for batched serving.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.threads == 0`.
     pub fn new(engine: Engine, cfg: BatchConfig) -> Self {
         assert!(cfg.threads > 0, "need at least one worker thread");
-        let shared = Arc::new(engine.predictor_shared());
         Self {
             engine,
             cfg,
-            shared,
             cache: Mutex::new(PreCache::default()),
             workspaces: Mutex::new(Vec::new()),
         }
@@ -336,10 +333,7 @@ impl BatchEngine {
     fn serve_one(&self, req: &BatchRequest, queue_wait_ns: u64, ctl: &RunControl) -> BatchOutcome {
         let _span = fbcnn_telemetry::span("batch_request");
         let engine_seed = self.engine.config().seed;
-        if let Err(e) = self
-            .engine
-            .check_request(&req.input, self.shared.thresholds())
-        {
+        if let Err(e) = self.engine.check_request(&req.input) {
             return BatchOutcome {
                 queue_wait_ns,
                 ..BatchOutcome::failed(req, engine_seed, e)
@@ -347,11 +341,8 @@ impl BatchEngine {
         }
         let seed = req.resolved_seed(engine_seed);
         let (prepared, cache_hit) = self.prepare(&req.input);
-        let fast = PredictiveInference::from_parts(
-            self.engine.bayesian_network(),
-            Arc::clone(&self.shared),
-            prepared,
-        );
+        let bnet = self.engine.bayesian_network();
+        let fast = PredictiveInference::from_parts(bnet, self.engine.shared(), prepared);
         let mut ws = self.checkout_workspace();
         let result =
             self.engine

@@ -1,13 +1,17 @@
 use crate::error::{EngineError, InferenceError};
 use crate::resilience::RunControl;
 use fbcnn_accel::{RunReport, Workload};
-use fbcnn_bayes::{BayesianNetwork, McDropout, McRequest, Prediction};
+use fbcnn_bayes::{BayesianNetwork, DropoutMasks, McDropout, McRequest, Prediction};
 use fbcnn_nn::models::{ModelKind, ModelScale};
 use fbcnn_nn::{ActivationGuard, GuardPolicy, Network, Workspace};
-use fbcnn_predictor::{PredictiveInference, SkipStats, ThresholdOptimizer, ThresholdSet};
+use fbcnn_predictor::{
+    PredictiveInference, PredictorShared, PreparedInput, SkipStats, ThresholdOptimizer,
+    ThresholdSet,
+};
 use fbcnn_tensor::{stats, Shape, Tensor};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of a Fast-BCNN [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -125,13 +129,6 @@ pub struct RobustConfig {
     /// anomalous — saturated thresholds skip essentially everything —
     /// and falls back to exact for that sample.
     pub max_skip_rate: f64,
-    /// Samples always taken before the early-exit test may trigger.
-    pub min_samples: usize,
-    /// L∞ movement of the running predictive mean below which a sample
-    /// counts as converged.
-    pub mean_tolerance: f32,
-    /// Consecutive converged samples required to exit early.
-    pub patience: usize,
 }
 
 impl Default for RobustConfig {
@@ -140,12 +137,17 @@ impl Default for RobustConfig {
             guard: ActivationGuard::default(),
             canary_tolerance: 0.5,
             max_skip_rate: 0.98,
-            min_samples: 8,
-            mean_tolerance: 5e-4,
-            patience: 3,
         }
     }
 }
+
+/// Samples always taken before the early-exit test may trigger.
+const EARLY_EXIT_MIN_SAMPLES: usize = 8;
+/// L∞ movement of the running predictive mean below which a sample
+/// counts as converged.
+const EARLY_EXIT_MEAN_TOLERANCE: f32 = 5e-4;
+/// Consecutive converged samples required to exit early.
+const EARLY_EXIT_PATIENCE: usize = 3;
 
 /// How much of a [`Engine::predict_robust_controlled`] run ran degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +209,9 @@ pub struct Engine {
     cfg: EngineConfig,
     bnet: BayesianNetwork,
     thresholds: ThresholdSet,
+    /// The skipping predictor's input-invariant state, built on first
+    /// use and dropped by every `&mut` accessor that could stale it.
+    shared: OnceLock<Arc<PredictorShared>>,
 }
 
 impl Engine {
@@ -280,6 +285,7 @@ impl Engine {
             cfg,
             bnet,
             thresholds,
+            shared: OnceLock::new(),
         })
     }
 
@@ -309,6 +315,7 @@ impl Engine {
             cfg,
             bnet,
             thresholds,
+            shared: OnceLock::new(),
         })
     }
 
@@ -336,14 +343,18 @@ impl Engine {
     /// for fault campaigns (`fbcnn_bench::harness::faults`) and manual
     /// overrides. A structurally damaged set surfaces as a typed
     /// [`InferenceError::Thresholds`] from
-    /// [`Engine::predict_robust_controlled`].
+    /// [`Engine::predict_robust_controlled`]. Drops the cached predictor
+    /// state; the next skipping request rebuilds it.
     pub fn thresholds_mut(&mut self) -> &mut ThresholdSet {
+        self.shared = OnceLock::new();
         &mut self.thresholds
     }
 
     /// Mutable access to the wrapped Bayesian network (weight fault
-    /// injection; graph structure must not change).
+    /// injection; graph structure must not change). Drops the cached
+    /// predictor state, whose indicators were profiled from the weights.
     pub fn bayesian_network_mut(&mut self) -> &mut BayesianNetwork {
+        self.shared = OnceLock::new();
         &mut self.bnet
     }
 
@@ -373,8 +384,9 @@ impl Engine {
     /// and the aggregate skip statistics.
     pub fn predict_fast(&self, input: &Tensor) -> (Prediction, SkipStats) {
         let _span = fbcnn_telemetry::span("predict_fast");
-        let engine = PredictiveInference::new(&self.bnet, input, self.thresholds.clone());
-        let (probs, skip) = engine.run_mc(self.cfg.seed, self.cfg.samples);
+        let (probs, skip) = self
+            .predictor(input)
+            .run_mc(self.cfg.seed, self.cfg.samples);
         (McDropout::summarize(probs), skip)
     }
 
@@ -408,16 +420,20 @@ impl Engine {
     ///    [`ThresholdSet::validate`]; violations are typed errors.
     /// 2. **Pre-inference screening** — the dropout-free pass is checked
     ///    by the guard. A fault here means the *weights* are corrupt;
-    ///    no healthy path exists, so it is always a typed error.
+    ///    no healthy path exists, so it is always a typed error. The
+    ///    predictor's input-invariant state is the engine's cached one
+    ///    ([`Engine::predictor_shared`]), not rebuilt per request.
     /// 3. **Canary** — sample 0 runs through both paths; a large
     ///    probability divergence (value-poisoned thresholds) degrades
     ///    the whole run to exact ([`DegradedMode::FullFallback`]).
+    ///    Otherwise the canary's skipping run *is* sample 0's fast
+    ///    attempt: it is not run again.
     /// 4. **Per-sample guards** — each fast sample is panic-isolated and
     ///    its skip rate and probability row sanity-checked; anomalous
     ///    samples are recomputed exactly under the guard.
-    /// 5. **Early exit** — once at least `min_samples` rows are in and
-    ///    the running predictive mean stops moving (`mean_tolerance`,
-    ///    `patience`), the remaining sample budget is skipped.
+    /// 5. **Early exit** — once at least 8 rows are in and the running
+    ///    predictive mean has moved less than 5·10⁻⁴ (L∞) for 3 rows in
+    ///    a row, the remaining sample budget is skipped.
     ///
     /// # Errors
     ///
@@ -435,43 +451,53 @@ impl Engine {
         ctl: &RunControl,
     ) -> Result<(Prediction, RobustReport), InferenceError> {
         let _span = fbcnn_telemetry::span("predict_robust");
-        self.check_request(input, &self.thresholds)?;
-        let fast = PredictiveInference::new(&self.bnet, input, self.thresholds.clone());
+        self.check_request(input)?;
         let mut ws = Workspace::new();
-        self.robust_core(&fast, input, seed, rc, &mut ws, ctl)
+        self.robust_core(&self.predictor(input), input, seed, rc, &mut ws, ctl)
     }
 
-    /// Stage 1 of the robust pipeline: the input must fit the network and
-    /// `thresholds` (the engine's own, or a serving layer's shared copy)
-    /// must fit its graph.
-    pub(crate) fn check_request(
-        &self,
-        input: &Tensor,
-        thresholds: &ThresholdSet,
-    ) -> Result<(), InferenceError> {
+    /// Stage 1 of the robust pipeline, and the one validation point of
+    /// every robust route: the input must fit the network and the
+    /// thresholds must fit its graph.
+    pub(crate) fn check_request(&self, input: &Tensor) -> Result<(), InferenceError> {
         let net = self.network();
         net.check_input(input)?;
-        thresholds.validate(net)?;
+        self.thresholds.validate(net)?;
         Ok(())
     }
 
-    /// The shared immutable half of the skipping predictor (thresholds,
-    /// indicator maps, structural flags), ready to be `Arc`-shared across
-    /// requests by a serving layer. Built on demand so that threshold
-    /// mutations through [`Engine::thresholds_mut`] are always picked up.
-    pub fn predictor_shared(&self) -> fbcnn_predictor::PredictorShared {
-        fbcnn_predictor::PredictorShared::new(&self.bnet, self.thresholds.clone())
+    /// The cached input-invariant half of the skipping predictor
+    /// (thresholds, indicator maps, structural flags), built on first
+    /// use and dropped by [`Engine::thresholds_mut`] and
+    /// [`Engine::bayesian_network_mut`].
+    pub(crate) fn shared(&self) -> Arc<PredictorShared> {
+        let build = || Arc::new(PredictorShared::new(&self.bnet, self.thresholds.clone()));
+        Arc::clone(self.shared.get_or_init(build))
+    }
+
+    /// A copy of the cached predictor state (see
+    /// [`Engine::predict_robust_controlled`]'s stage 2).
+    pub fn predictor_shared(&self) -> PredictorShared {
+        PredictorShared::clone(&self.shared())
+    }
+
+    /// The skipping predictor for `input` over the cached shared state.
+    pub(crate) fn predictor(&self, input: &Tensor) -> PredictiveInference<'_> {
+        let prepared = Arc::new(PreparedInput::new(&self.bnet, input));
+        PredictiveInference::from_parts(&self.bnet, self.shared(), prepared)
     }
 
     /// The staged robust pipeline (pre-inference screening → canary →
     /// guarded per-sample loop → early exit), operating on an already
-    /// validated input and an already constructed skipping predictor.
+    /// validated input and a skipping predictor over
+    /// [`Engine::shared`].
     ///
     /// This is the single implementation behind both the one-shot
     /// [`Engine::predict_robust_controlled`] and the batched
     /// [`crate::BatchEngine`]: because both routes execute this exact
-    /// code with the same `(input, seed, rc)`, a batched request is
-    /// bit-identical to its sequential counterpart by construction.
+    /// code with the same `(input, seed, rc)` and the engine's one cached
+    /// predictor state, a batched request is bit-identical to its
+    /// sequential counterpart by construction.
     /// `ws` is caller-provided scratch (a serving layer pools it);
     /// workspace reuse does not change results. `ctl`'s token is checked
     /// at every sample boundary, its sample cap implements
@@ -514,36 +540,45 @@ impl Engine {
             .map_or(configured, |cap| cap.clamp(1, configured));
         let capped = requested < configured;
 
+        // One fast attempt at sample `s`: the hook fires once per
+        // attempt, inside the same panic isolation as the skipping pass.
+        let fast_attempt = |s: usize, masks: &DropoutMasks| {
+            catch_unwind(AssertUnwindSafe(|| {
+                ctl.fire_sample_hook(s);
+                fast.run_sample(masks)
+            }))
+            .ok()
+        };
+
         // Canary: run sample 0 through both paths. The exact row is the
-        // reference; a fast row that diverges beyond tolerance means the
-        // thresholds are structurally fine but semantically poisoned. An
-        // open circuit breaker (`force_exact`) skips the canary — the
-        // verdict is already in.
+        // reference; a fast row that diverges beyond tolerance (or a fast
+        // attempt that panics) means the thresholds are structurally fine
+        // but semantically poisoned. The fast run is sample 0's attempt,
+        // handed to the loop below. An open circuit breaker
+        // (`force_exact`) skips the canary — the verdict is already in.
         let mut full_fallback = ctl.force_exact;
+        let masks = self.bnet.generate_masks(seed, 0);
+        let mut canary_run = None;
         if !ctl.force_exact {
-            let canary_masks = self.bnet.generate_masks(seed, 0);
-            let exact_probs =
-                stats::softmax(self.bnet.forward_sample(input, &canary_masks).logits());
+            let exact_probs = stats::softmax(self.bnet.forward_sample(input, &masks).logits());
+            canary_run = fast_attempt(0, &masks);
             if ActivationGuard::probs_are_sane(&exact_probs) {
-                full_fallback = match catch_unwind(AssertUnwindSafe(|| {
-                    fast.run_sample(&canary_masks)
-                })) {
-                    Ok(run) => {
-                        let fast_probs = stats::softmax(run.logits());
-                        let l1: f32 = exact_probs
-                            .iter()
-                            .zip(&fast_probs)
-                            .map(|(a, b)| (a - b).abs())
-                            .sum();
-                        !ActivationGuard::probs_are_sane(&fast_probs) || l1 > rc.canary_tolerance
-                    }
-                    Err(_) => true,
-                };
+                full_fallback = canary_run.as_ref().is_none_or(|run| {
+                    let fast_probs = stats::softmax(run.logits());
+                    let l1: f32 = exact_probs
+                        .iter()
+                        .zip(&fast_probs)
+                        .map(|(a, b)| (a - b).abs())
+                        .sum();
+                    !ActivationGuard::probs_are_sane(&fast_probs) || l1 > rc.canary_tolerance
+                });
             }
             if full_fallback {
                 fbcnn_telemetry::counter_add("engine_canary_trips", &[], 1);
+                canary_run = None;
             }
         }
+        let mut sample0 = Some((masks, canary_run));
 
         let mut rows: Vec<Vec<f32>> = Vec::with_capacity(requested);
         let mut running_sum: Vec<f32> = Vec::new();
@@ -562,22 +597,21 @@ impl Engine {
                 expired = true;
                 break;
             }
-            let masks = self.bnet.generate_masks(seed, s);
+            let (masks, run) = sample0.take().unwrap_or_else(|| {
+                let masks = self.bnet.generate_masks(seed, s);
+                let run = (!full_fallback).then(|| fast_attempt(s, &masks)).flatten();
+                (masks, run)
+            });
             let mut row: Option<Vec<f32>> = None;
 
-            if !full_fallback {
-                if let Ok(run) = catch_unwind(AssertUnwindSafe(|| {
-                    ctl.fire_sample_hook(s);
-                    fast.run_sample(&masks)
-                })) {
-                    let sample_stats = run.stats();
-                    let probs = stats::softmax(run.logits());
-                    if ActivationGuard::probs_are_sane(&probs)
-                        && sample_stats.skip_rate() <= rc.max_skip_rate
-                    {
-                        skip.absorb(sample_stats);
-                        row = Some(probs);
-                    }
+            if let Some(run) = run {
+                let sample_stats = run.stats();
+                let probs = stats::softmax(run.logits());
+                if ActivationGuard::probs_are_sane(&probs)
+                    && sample_stats.skip_rate() <= rc.max_skip_rate
+                {
+                    skip.absorb(sample_stats);
+                    row = Some(probs);
                 }
             }
 
@@ -649,12 +683,15 @@ impl Engine {
                     *acc += p;
                 }
                 rows.push(probs);
-                stable = if shift < rc.mean_tolerance {
+                stable = if shift < EARLY_EXIT_MEAN_TOLERANCE {
                     stable + 1
                 } else {
                     0
                 };
-                if rows.len() >= rc.min_samples && stable >= rc.patience && s + 1 < requested {
+                if rows.len() >= EARLY_EXIT_MIN_SAMPLES
+                    && stable >= EARLY_EXIT_PATIENCE
+                    && s + 1 < requested
+                {
                     early_exit = true;
                     fbcnn_telemetry::counter_add("engine_early_exits", &[], 1);
                     break;
@@ -903,7 +940,10 @@ mod tests {
         assert_eq!(report.mode, DegradedMode::Healthy);
         assert_eq!(report.fallback_samples, 0);
         assert_eq!(report.used_samples, e.config().samples);
-        assert!(!report.early_exit, "4 samples cannot hit min_samples 8");
+        assert!(
+            !report.early_exit,
+            "4 samples cannot reach the 8-sample early-exit floor"
+        );
         assert_eq!(robust.mean, fast.mean, "healthy robust path == fast path");
     }
 
@@ -931,24 +971,15 @@ mod tests {
 
     #[test]
     fn robust_prediction_exits_early_once_the_mean_converges() {
-        let e = Engine::new(EngineConfig {
-            samples: 40,
-            calibration_samples: 3,
-            ..EngineConfig::for_model(ModelKind::LeNet5)
-        });
+        // The paper's T = 50 on LeNet-5: the mean settles well before the
+        // budget runs out (on this input after 40 rows).
+        let e = Engine::new(EngineConfig::for_model(ModelKind::LeNet5));
         let input = synth_input(e.network().input_shape(), 11);
-        let rc = RobustConfig {
-            min_samples: 4,
-            mean_tolerance: 0.05, // generous: individual rows barely move a 10-class mean
-            patience: 2,
-            ..RobustConfig::default()
-        };
-        let (pred, report) = e
-            .predict_robust_controlled(&input, e.config().seed, &rc, &RunControl::none())
-            .unwrap();
+        let (pred, report) = e.predict_robust_seeded(&input, e.config().seed).unwrap();
         assert!(report.early_exit, "report: {report:?}");
-        assert!(report.used_samples < report.requested_samples);
-        assert!(report.used_samples >= rc.min_samples);
+        assert_eq!(report.mode, DegradedMode::Healthy);
+        assert_eq!(report.requested_samples, 50);
+        assert_eq!(report.used_samples, 40);
         assert_eq!(pred.mean.len(), 10);
     }
 

@@ -10,7 +10,7 @@
 
 use fbcnn_bayes::BayesError;
 use fbcnn_nn::{NnError, NumericFault};
-use fbcnn_predictor::{PredictorError, ThresholdError};
+use fbcnn_predictor::ThresholdError;
 use std::fmt;
 
 /// Why an [`crate::Engine`] could not be constructed.
@@ -136,15 +136,6 @@ impl From<ThresholdError> for InferenceError {
 impl From<NumericFault> for InferenceError {
     fn from(e: NumericFault) -> Self {
         InferenceError::Numeric(e)
-    }
-}
-
-impl From<PredictorError> for InferenceError {
-    fn from(e: PredictorError) -> Self {
-        match e {
-            PredictorError::Input(e) => InferenceError::Input(e),
-            PredictorError::Thresholds(e) => InferenceError::Thresholds(e),
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! it: the exact BCNN and the skipping BCNN classify a held-out test set
 //! and their accuracies are compared.
 
-use crate::{Engine, EngineConfig, McDropout, McRequest, PredictiveInference};
+use crate::{Engine, EngineConfig, McDropout, McRequest};
 use fbcnn_nn::data::SynthDigits;
 use fbcnn_nn::models::{ModelKind, ModelScale};
 use fbcnn_nn::train::{self, TrainConfig};
@@ -120,12 +120,7 @@ pub fn run_with_network(
         if exact.class == s.label {
             exact_correct += 1;
         }
-        let pe = PredictiveInference::new(
-            engine.bayesian_network(),
-            &s.image,
-            engine.thresholds().clone(),
-        );
-        let (probs, _) = pe.run_mc(cfg.seed, cfg.samples);
+        let (probs, _) = engine.predictor(&s.image).run_mc(cfg.seed, cfg.samples);
         if McDropout::summarize(probs).class == s.label {
             skip_correct += 1;
         }

@@ -94,12 +94,7 @@ fn exact_prediction(engine: &Engine, input: &Tensor, t: usize) -> crate::Predict
 }
 
 fn fast_prediction(engine: &Engine, input: &Tensor, t: usize) -> crate::Prediction {
-    let pe = crate::PredictiveInference::new(
-        engine.bayesian_network(),
-        input,
-        engine.thresholds().clone(),
-    );
-    let (probs, _) = pe.run_mc(engine.config().seed, t);
+    let (probs, _) = engine.predictor(input).run_mc(engine.config().seed, t);
     crate::McDropout::summarize(probs)
 }
 

@@ -64,7 +64,7 @@ pub use resilience::{
 };
 pub use supervise::{
     failover_route, shard_route, HealthTransition, OutcomeSignal, RouteDecision, ShardHealth,
-    ShardLedger, SuperviseConfig, SuperviseSnapshot, Supervisor, SupervisorGate,
+    ShardLedger, SuperviseConfig, SuperviseSnapshot, Supervisor,
 };
 pub use telemetry_report::{LayerSkipRow, SpanQuantileRow, TelemetryReport};
 
@@ -85,7 +85,7 @@ pub use fbcnn_bayes::{
 };
 pub use fbcnn_nn::{models, ActivationGuard, GuardPolicy, Network, NumericFault};
 pub use fbcnn_predictor::{
-    evaluate_predictions, EvalReport, PolarityIndicators, PredictiveInference, PredictorError,
-    SkipStats, ThresholdError, ThresholdOptimizer, ThresholdSet,
+    evaluate_predictions, EvalReport, PolarityIndicators, PredictiveInference, SkipStats,
+    ThresholdError, ThresholdOptimizer, ThresholdSet,
 };
 pub use fbcnn_tensor::{BitMask, Shape, Tensor};

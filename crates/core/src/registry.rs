@@ -1072,7 +1072,8 @@ mod tests {
 
     #[test]
     fn supervised_registry_quarantines_rebuilds_and_readmits() {
-        use crate::supervise::{lock_gate, ShardHealth, SupervisorGate};
+        use crate::supervise::ShardHealth;
+        use std::sync::OnceLock;
         let engine = tiny_engine(3);
         let artifact = ModelArtifact::from_engine(&engine, 1, "v1");
 
@@ -1089,14 +1090,14 @@ mod tests {
         });
         let target = 0usize;
         let armed = Arc::new(AtomicBool::new(false));
-        let gate: SupervisorGate = Arc::new(Mutex::new(None));
+        let gate: Arc<OnceLock<Arc<Supervisor>>> = Arc::new(OnceLock::new());
         // Poisons every request routed to `target` while the shard is
         // still in the ring, so failed-over and probe traffic runs clean.
         let (hook_armed, hook_gate) = (Arc::clone(&armed), Arc::clone(&gate));
         let (seed, shards) = (cfg.routing_seed, cfg.shards);
         cfg.sample_hook = Some(Arc::new(move |id, _attempt, _sample| {
-            let live = lock_gate(&hook_gate)
-                .as_ref()
+            let live = hook_gate
+                .get()
                 .is_none_or(|sup| sup.health(target).is_live());
             if hook_armed.load(Ordering::Relaxed) && shard_route(seed, shards, id) == target && live
             {
@@ -1105,7 +1106,7 @@ mod tests {
         }));
         let registry = ModelRegistry::new(artifact, cfg).unwrap();
         let sup = Arc::clone(registry.supervisor().expect("supervision on"));
-        *lock_gate(&gate) = Some(Arc::clone(&sup));
+        assert!(gate.set(Arc::clone(&sup)).is_ok());
 
         let shape = engine.network().input_shape();
         let on_target: Vec<u64> = (0..400)

@@ -47,6 +47,7 @@ use crate::batch::{BatchEngine, BatchOutcome, BatchRequest};
 use crate::engine::{DegradedMode, RobustReport};
 use crate::error::InferenceError;
 use crate::ledger::Ledger;
+use crate::supervise::mix64;
 use fbcnn_bayes::{CancelToken, Prediction};
 use std::collections::VecDeque;
 use std::fmt;
@@ -150,13 +151,6 @@ pub trait Jitter: Send + Sync {
 /// attempt)`, so reruns back off identically.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeededJitter;
-
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl Jitter for SeededJitter {
     fn factor(&self, token: u64) -> f64 {
@@ -481,19 +475,16 @@ pub struct ResilienceConfig {
     /// Per-request deterministic sample budget (expires after this many
     /// sample checkpoints, spanning retries) — the testable deadline.
     pub sample_budget: Option<u64>,
-    /// Retry policy for typed-transient failures.
+    /// Retry policy for typed-transient failures. Canary trips are
+    /// retried too (a tripped canary may be ephemeral; the exact-path
+    /// result is kept if retries keep tripping).
     pub retry: RetryPolicy,
-    /// Also retry canary trips (a tripped canary may be ephemeral; the
-    /// exact-path result is kept if retries keep tripping).
-    pub retry_canary_trips: bool,
     /// Circuit-breaker knobs.
     pub breaker: BreakerConfig,
     /// Bounded queue capacity per `run_batch` call; 0 = unbounded.
     pub queue_capacity: usize,
     /// What to do with the overflow.
     pub shed_policy: ShedPolicy,
-    /// Sample-budget floor for [`ShedPolicy::DegradeToFewerSamples`].
-    pub min_degraded_samples: usize,
     /// Watchdog timeout for one execution attempt; `None` disables the
     /// watchdog (attempts then run on the serving thread). With a
     /// timeout set, every attempt — batched or single — runs on a
@@ -515,11 +506,9 @@ impl Default for ResilienceConfig {
             deadline: None,
             sample_budget: None,
             retry: RetryPolicy::default(),
-            retry_canary_trips: true,
             breaker: BreakerConfig::default(),
             queue_capacity: 0,
             shed_policy: ShedPolicy::RejectNewest,
-            min_degraded_samples: 1,
             watchdog_timeout: None,
             max_requeues: 2,
             deadline_class: "default".to_string(),
@@ -989,7 +978,7 @@ impl ResilientBatchEngine {
                 ShedPolicy::DegradeToFewerSamples => {
                     let t = inner.batch.engine().config().samples;
                     let scaled = t * capacity / n;
-                    cap = Some(scaled.max(inner.cfg.min_degraded_samples).max(1));
+                    cap = Some(scaled.max(1));
                 }
             }
             let shed_count = shed_flags.iter().filter(|&&s| s).count();
@@ -1257,7 +1246,7 @@ fn serve_with_resilience(
         let retryable = match &outcome.result {
             // Expired partials are final: the budget is spent.
             Ok(_) if expired => None,
-            Ok(_) if canary_trip && cfg.retry_canary_trips => Some("canary_trip"),
+            Ok(_) if canary_trip => Some("canary_trip"),
             Ok(_) => None,
             Err(_) if expired => None,
             Err(e) => match retry_class(e) {

@@ -58,21 +58,9 @@ pub const REBUILD_PROBE_REJECTS_METRIC: &str = "rebuild_probe_rejects";
 
 const FAILOVER_SALT: u64 = 0xFA_17_0E_55;
 
-/// A late-bound handle to a [`Supervisor`], for fault injectors built
-/// before the registry (and thus the supervisor) exists. The chaos
-/// harness fills the slot after boot; a hook holding the gate consults
-/// the supervisor's live health on every fire, so a shard poison dies
-/// with its shard's quarantine instead of chasing failed-over requests
-/// onto healthy shards.
-pub type SupervisorGate = Arc<Mutex<Option<Arc<Supervisor>>>>;
-
-/// Poison-tolerant lock on a [`SupervisorGate`].
-pub fn lock_gate(gate: &SupervisorGate) -> MutexGuard<'_, Option<Arc<Supervisor>>> {
-    gate.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// `splitmix64` finalizer — the deterministic mixer behind the shard
-/// route, the canary split and the rendezvous failover weights.
+/// route, the canary split, the rendezvous failover weights and the
+/// retry backoff jitter.
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;

@@ -480,11 +480,12 @@ impl Network {
                 ),
                 Op::Layer(Layer::Pool(p)) => (
                     format!(
-                        "{:?}pool {}x{} /{}",
+                        "{:?}pool {}x{} /{} p{}",
                         p.kind(),
                         p.window(),
                         p.window(),
-                        p.stride()
+                        p.stride(),
+                        p.padding()
                     )
                     .to_lowercase(),
                     0,
@@ -746,9 +747,20 @@ mod tests {
         let net = tiny_net();
         let s = net.summary();
         assert_eq!(s.lines().count(), net.len() + 1);
-        assert!(s.contains("conv1"));
-        assert!(s.contains("maxpool") || s.contains("max"));
+        assert!(s.contains("conv 3x3 /1 p1 relu"));
+        assert!(s.contains("maxpool 2x2 /2 p0"));
         assert!(s.contains("dense 8->3"));
+
+        // A padded pool shows its padding like a conv does.
+        let mut b = NetworkBuilder::named("padded", Shape::new(1, 4, 4));
+        let x = b.input();
+        let pool = Pool2d::new(PoolKind::Max, 3, 1).with_pad(1);
+        let p = b.layer(x, pool, "pool1").unwrap();
+        b.layer(p, Dense::new(16, 2, false), "fc").unwrap();
+        let s = b.build().unwrap().summary();
+        let row = s.lines().find(|l| l.contains("pool1")).unwrap();
+        assert!(row.contains("maxpool 3x3 /1 p1 "), "{row}");
+        assert!(row.contains("out 1x4x4"), "{row}");
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub use counting::{
 };
 pub use evaluate::{evaluate_predictions, EvalReport};
 pub use indicator::PolarityIndicators;
-pub use predictive::{
-    PredictiveInference, PredictorError, PredictorShared, PreparedInput, SkippingRun,
-};
+pub use predictive::{PredictiveInference, PredictorShared, PreparedInput, SkippingRun};
 pub use skipmap::{build_skip_maps, SkipMap, SkipStats};
 pub use threshold::{ThresholdError, ThresholdOptimizer, ThresholdSet};

@@ -1,43 +1,10 @@
 use crate::skipmap::{build_skip_maps, total_stats, SkipMap, SkipStats};
-use crate::{PolarityIndicators, ThresholdError, ThresholdSet};
+use crate::{PolarityIndicators, ThresholdSet};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::{BayesianNetwork, SampleRun};
 use fbcnn_nn::{NnError, NodeId, Workspace};
 use fbcnn_tensor::{BitMask, Tensor};
-use std::fmt;
 use std::sync::Arc;
-
-/// Why a [`PredictiveInference`] could not be constructed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PredictorError {
-    /// The optimization input does not fit the network.
-    Input(NnError),
-    /// The threshold set is structurally inconsistent with the network.
-    Thresholds(ThresholdError),
-}
-
-impl fmt::Display for PredictorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PredictorError::Input(e) => write!(f, "bad input: {e}"),
-            PredictorError::Thresholds(e) => write!(f, "bad thresholds: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PredictorError {}
-
-impl From<NnError> for PredictorError {
-    fn from(e: NnError) -> Self {
-        PredictorError::Input(e)
-    }
-}
-
-impl From<ThresholdError> for PredictorError {
-    fn from(e: ThresholdError) -> Self {
-        PredictorError::Thresholds(e)
-    }
-}
 
 /// The *input-invariant* half of a skipping inference: thresholds,
 /// weight-polarity indicator maps and the structural upstream-dropout
@@ -71,25 +38,6 @@ impl PredictorShared {
             indicators,
             upstream_dropout,
         }
-    }
-
-    /// Fallible constructor: validates the threshold set first.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictorError::Thresholds`] when the set fails
-    /// [`ThresholdSet::validate`].
-    pub fn try_new(
-        bnet: &BayesianNetwork,
-        thresholds: ThresholdSet,
-    ) -> Result<Self, PredictorError> {
-        thresholds.validate(bnet.network())?;
-        Ok(Self::new(bnet, thresholds))
-    }
-
-    /// The thresholds this state was built from.
-    pub fn thresholds(&self) -> &ThresholdSet {
-        &self.thresholds
     }
 
     /// Whether `node`'s inputs carry dropout. `false` means the node sees
@@ -264,30 +212,6 @@ impl<'a> PredictiveInference<'a> {
         }
     }
 
-    /// Fallible constructor: validates the input shape and the threshold
-    /// set before running the pre-inference.
-    ///
-    /// [`PredictiveInference::new`] trusts its arguments (the calibrated
-    /// path constructs thresholds itself); use `try_new` when the
-    /// thresholds or input come from outside — a deserialized artifact, a
-    /// fault-injection harness — and an index panic inside the skip-map
-    /// builder must become a typed error instead.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictorError::Input`] when the input shape disagrees with the
-    /// network, [`PredictorError::Thresholds`] when the set fails
-    /// [`ThresholdSet::validate`].
-    pub fn try_new(
-        bnet: &'a BayesianNetwork,
-        input: &Tensor,
-        thresholds: ThresholdSet,
-    ) -> Result<Self, PredictorError> {
-        bnet.network().check_input(input)?;
-        thresholds.validate(bnet.network())?;
-        Ok(Self::new(bnet, input, thresholds))
-    }
-
     /// The recorded pre-inference.
     pub fn pre_inference(&self) -> &SampleRun {
         &self.prepared.pre
@@ -298,19 +222,9 @@ impl<'a> PredictiveInference<'a> {
         &self.prepared.zero_masks
     }
 
-    /// The thresholds in use.
-    pub fn thresholds(&self) -> &ThresholdSet {
-        &self.shared.thresholds
-    }
-
     /// The input-invariant half (thresholds, indicators, structure).
     pub fn shared(&self) -> &Arc<PredictorShared> {
         &self.shared
-    }
-
-    /// The per-input half (input, pre-inference, zero masks).
-    pub fn prepared(&self) -> &Arc<PreparedInput> {
-        &self.prepared
     }
 
     /// Runs a complete skipping MC-dropout inference: `t` sample passes
@@ -454,39 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn try_new_screens_inputs_and_thresholds() {
-        let (bnet, input) = setup();
-        let net_len = bnet.network().len();
-        let good = ThresholdOptimizer::default().optimize(&bnet, &input, 3);
-        assert!(PredictiveInference::try_new(&bnet, &input, good.clone()).is_ok());
-
-        let bad_input = Tensor::zeros(fbcnn_tensor::Shape::new(1, 2, 2));
-        assert!(matches!(
-            PredictiveInference::try_new(&bnet, &bad_input, good.clone()),
-            Err(PredictorError::Input(_))
-        ));
-
-        let mut truncated = good;
-        let node = bnet.network().conv_nodes()[1];
-        truncated.insert(node, vec![7; 3]);
-        assert!(matches!(
-            PredictiveInference::try_new(&bnet, &input, truncated),
-            Err(PredictorError::Thresholds(
-                crate::ThresholdError::KernelCountMismatch { .. }
-            ))
-        ));
-
-        let mut misplaced = ThresholdSet::never_predict(net_len);
-        misplaced.insert(fbcnn_nn::NodeId(0), vec![1; 4]);
-        assert!(matches!(
-            PredictiveInference::try_new(&bnet, &input, misplaced),
-            Err(PredictorError::Thresholds(
-                crate::ThresholdError::NotAConvNode { node: 0 }
-            ))
-        ));
-    }
-
-    #[test]
     fn fingerprint_separates_inputs_and_matches_confirms() {
         let (bnet, input) = setup();
         let a = PreparedInput::fingerprint(&input);
@@ -502,19 +383,6 @@ mod tests {
             prepared.pre_inference().activations.len(),
             bnet.network().len()
         );
-    }
-
-    #[test]
-    fn shared_state_validates_thresholds() {
-        let (bnet, input) = setup();
-        let good = ThresholdOptimizer::default().optimize(&bnet, &input, 3);
-        assert!(PredictorShared::try_new(&bnet, good.clone()).is_ok());
-        let mut truncated = good;
-        truncated.insert(bnet.network().conv_nodes()[1], vec![7; 3]);
-        assert!(matches!(
-            PredictorShared::try_new(&bnet, truncated),
-            Err(PredictorError::Thresholds(_))
-        ));
     }
 
     #[test]

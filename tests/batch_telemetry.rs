@@ -2,9 +2,9 @@
 //!
 //! * the `batch_requests` / `batch_cache_*` counters reconcile exactly
 //!   with the [`fast_bcnn::BatchReport`];
-//! * the `skip_neurons_*` counters a batch records reconcile with the
-//!   per-request `SkipStats` in each outcome's `RobustReport` (plus each
-//!   request's canary sample, which the robust pipeline always runs);
+//! * the `skip_neurons_*` counters a batch records equal the sum of the
+//!   per-request `SkipStats` in each outcome's `RobustReport` exactly
+//!   (the canary's skipping run is sample 0, counted once);
 //! * a batch run's registry exports cleanly: the JSONL trace round-trips
 //!   through the versioned envelope reader and the Prometheus-style dump
 //!   parses back — the same checks `trace_check` applies in CI to a
@@ -22,8 +22,8 @@ use fast_bcnn::models::ModelKind;
 use fast_bcnn::telemetry::{self, parse_exposition, Registry};
 use fast_bcnn::{
     synth_input, BatchConfig, BatchEngine, BatchReport, BatchRequest, DegradedMode, Engine,
-    EngineConfig, FlightRecorder, InferenceError, PredictiveInference, ResilienceConfig,
-    ResilientBatchEngine, RobustConfig, SkipStats,
+    EngineConfig, FlightRecorder, InferenceError, ResilienceConfig, ResilientBatchEngine,
+    RobustConfig, SkipStats,
 };
 use fbcnn_bench::harness::faults::{FaultInjector, ThresholdFault};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -61,7 +61,7 @@ fn run_recorded(batch: &BatchEngine, requests: &[BatchRequest]) -> (Arc<Registry
 fn batch_counters_reconcile_with_report_and_per_request_skip_stats() {
     let engine = lenet_engine(4);
     let requests = queue(&engine);
-    let batch = BatchEngine::new(engine.clone(), BatchConfig::default());
+    let batch = BatchEngine::new(engine, BatchConfig::default());
     let (registry, report) = run_recorded(&batch, &requests);
     assert!(report.all_ok());
 
@@ -81,22 +81,12 @@ fn batch_counters_reconcile_with_report_and_per_request_skip_stats() {
     assert_eq!(report.cache_hits, 1, "one repeated input");
     assert_eq!(report.cache_misses, 3);
 
-    // Per-layer skip counters reconcile with the per-request SkipStats.
-    // The robust pipeline runs one extra fast sample per request (the
-    // canary, sample 0), whose stats are recorded but deliberately not
-    // absorbed into RobustReport::skip — account for it explicitly from
-    // the public predictor API.
+    // Per-layer skip counters equal the sum of the per-request
+    // SkipStats: the canary's skipping run is sample 0, counted once.
     let mut expected = SkipStats::default();
-    for (req, outcome) in requests.iter().zip(&report.outcomes) {
+    for outcome in &report.outcomes {
         let (_, rep) = outcome.result.as_ref().expect("healthy batch");
         expected.absorb(rep.skip);
-        let fast = PredictiveInference::new(
-            engine.bayesian_network(),
-            &req.input,
-            engine.thresholds().clone(),
-        );
-        let canary = fast.run_sample(&engine.bayesian_network().generate_masks(outcome.seed, 0));
-        expected.absorb(canary.stats());
     }
     for (name, want) in [
         ("skip_neurons_considered", expected.total),
@@ -107,7 +97,7 @@ fn batch_counters_reconcile_with_report_and_per_request_skip_stats() {
         assert_eq!(
             registry.counter_total(name),
             want as u64,
-            "{name} disagrees with per-request SkipStats + canaries"
+            "{name} disagrees with per-request SkipStats"
         );
     }
 

@@ -10,12 +10,13 @@
 
 use fast_bcnn::models::ModelKind;
 use fast_bcnn::{
-    ActivationGuard, BayesError, Engine, EngineConfig, GuardPolicy, InferenceError, McDropout,
-    McRequest, RobustConfig, RunControl, ThresholdError,
+    ActivationGuard, BayesError, DegradedMode, Engine, EngineConfig, GuardPolicy, InferenceError,
+    McDropout, McRequest, RobustConfig, RobustReport, RunControl, ThresholdError,
 };
 use fbcnn_bench::harness::faults::{FaultInjector, ThresholdFault};
 use fbcnn_tensor::Tensor;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 fn base_engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
@@ -196,6 +197,109 @@ fn saturated_thresholds_are_recovered_within_tolerance() {
         "poisoned-threshold mean drifted {} from exact (report {report:?})",
         l1(&pred.mean, &exact.mean)
     );
+}
+
+#[test]
+fn mutations_after_a_served_request_reach_the_next_request() {
+    // Serving fills the engine's cached predictor state; every mutation
+    // through a `&mut` accessor must be seen by the next request.
+    let engine = base_engine().clone();
+    let net = engine.network().clone();
+    let input = probe_input(&engine, 14);
+    let seed = engine.config().seed;
+    let (_, clean) = engine
+        .predict_robust_seeded(&input, seed)
+        .expect("a clean engine serves");
+
+    let mut truncated = engine.clone();
+    FaultInjector::new(3).poison_thresholds(
+        truncated.thresholds_mut(),
+        &net,
+        ThresholdFault::Truncate,
+    );
+    assert!(matches!(
+        truncated.predict_robust_seeded(&input, seed),
+        Err(InferenceError::Thresholds(_))
+    ));
+
+    let mut nan = engine.clone();
+    FaultInjector::new(0xDEAD)
+        .poison_conv_weight_nan(nan.bayesian_network_mut().network_mut())
+        .expect("lenet has conv weights");
+    assert!(matches!(
+        nan.predict_robust_seeded(&input, seed),
+        Err(InferenceError::Numeric(_))
+    ));
+
+    // Structurally valid changes: served exactly as an engine built from
+    // the changed parts serves them, and visibly not as before.
+    let mut saturated = engine.clone();
+    FaultInjector::new(7).poison_thresholds(
+        saturated.thresholds_mut(),
+        &net,
+        ThresholdFault::Saturate,
+    );
+    let mut negated = engine.clone();
+    for (_, layer) in negated.bayesian_network_mut().network_mut().layers_mut() {
+        if let Some(conv) = layer.as_conv_mut() {
+            conv.weights_mut().iter_mut().for_each(|w| *w = -*w);
+        }
+    }
+    for changed in [saturated, negated] {
+        let fresh = Engine::from_calibrated(
+            *changed.config(),
+            changed.network().clone(),
+            changed.thresholds().clone(),
+        )
+        .expect("the changed parts still fit");
+        let served = changed.predict_robust_seeded(&input, seed);
+        assert_eq!(served, fresh.predict_robust_seeded(&input, seed));
+        let (_, report) = served.expect("structurally valid changes still serve");
+        assert_ne!(report.skip, clean.skip, "the change moved no skip decision");
+    }
+}
+
+// ------------------------------------------------------------ sample hook
+
+/// Per-sample fire counts of a counting hook over one robust request.
+fn hook_fires(rc: &RobustConfig) -> (Vec<usize>, RobustReport) {
+    let engine = base_engine();
+    let fires: Arc<Vec<AtomicUsize>> = Arc::new(
+        (0..engine.config().samples)
+            .map(|_| AtomicUsize::new(0))
+            .collect(),
+    );
+    let seen = Arc::clone(&fires);
+    let ctl = RunControl {
+        sample_hook: Some(Arc::new(move |s| {
+            seen[s].fetch_add(1, Ordering::Relaxed);
+        })),
+        ..RunControl::none()
+    };
+    let input = probe_input(engine, 15);
+    let (_, report) = engine
+        .predict_robust_controlled(&input, engine.config().seed, rc, &ctl)
+        .expect("every sample survives on some path");
+    (
+        fires.iter().map(|n| n.load(Ordering::Relaxed)).collect(),
+        report,
+    )
+}
+
+#[test]
+fn the_sample_hook_fires_once_per_execution_attempt() {
+    let (fires, report) = hook_fires(&RobustConfig::default());
+    assert_eq!(report.mode, DegradedMode::Healthy);
+    assert_eq!(fires, vec![1; report.used_samples]);
+
+    // A fast attempt the skip-rate check rejects, sample 0 (the canary's
+    // own skipping run) included, fires the hook again on its exact rerun.
+    let (fires, report) = hook_fires(&RobustConfig {
+        max_skip_rate: 0.0,
+        ..RobustConfig::default()
+    });
+    assert_eq!(report.fallback_samples, report.used_samples);
+    assert_eq!(fires, vec![2; report.used_samples]);
 }
 
 // ---------------------------------------------------------------- workers

@@ -3,7 +3,8 @@
 //! * the no-op recorder costs under 5% on the exact MC-dropout hot path;
 //! * a recording-enabled skipping run emits per-layer skip counters that
 //!   reconcile *exactly* with the `SkipStats` the inference returns, both
-//!   live in the registry and through the JSONL trace round-trip;
+//!   live in the registry and through the JSONL trace round-trip, and a
+//!   robust run's counters equal its `RobustReport::skip`;
 //! * the Prometheus-style dump parses back, with a nonzero fallback
 //!   counter when a fault forces the robust path to degrade.
 //!
@@ -147,18 +148,7 @@ fn skip_counters_reconcile_exactly_with_skip_stats() {
 
     // Registry view: the per-layer counters were recorded from the very
     // SkipMaps the run aggregated, so the totals match exactly.
-    for (name, expected) in [
-        ("skip_neurons_considered", stats.total),
-        ("skip_neurons_dropped", stats.dropped),
-        ("skip_neurons_predicted", stats.predicted),
-        ("skip_neurons_skipped", stats.skipped),
-    ] {
-        assert_eq!(
-            registry.counter_total(name),
-            expected as u64,
-            "{name} disagrees with SkipStats {stats:?}"
-        );
-    }
+    assert_skip_counters(&registry, stats);
 
     // The per-sample counter agrees too.
     assert_eq!(
@@ -193,6 +183,33 @@ fn skip_counters_reconcile_exactly_with_skip_stats() {
     assert_eq!(considered, stats.total as u64);
     assert_eq!(skipped, stats.skipped as u64);
     assert!((report.overall_skip_rate() - stats.skip_rate()).abs() < 1e-12);
+
+    // A robust run records exactly what its report absorbed: the canary's
+    // skipping run is sample 0, counted once.
+    let registry = Arc::new(Registry::new());
+    let (_, report) = {
+        let _guard = telemetry::install(registry.clone());
+        engine.predict_robust_seeded(&input, engine.config().seed)
+    }
+    .expect("a clean engine serves");
+    assert_eq!(report.mode, DegradedMode::Healthy);
+    assert_skip_counters(&registry, report.skip);
+}
+
+/// The four per-layer skip counters in `registry` sum to `stats`.
+fn assert_skip_counters(registry: &Registry, stats: SkipStats) {
+    for (name, expected) in [
+        ("skip_neurons_considered", stats.total),
+        ("skip_neurons_dropped", stats.dropped),
+        ("skip_neurons_predicted", stats.predicted),
+        ("skip_neurons_skipped", stats.skipped),
+    ] {
+        assert_eq!(
+            registry.counter_total(name),
+            expected as u64,
+            "{name} disagrees with SkipStats {stats:?}"
+        );
+    }
 }
 
 #[test]
