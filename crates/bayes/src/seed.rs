@@ -23,14 +23,7 @@
 //! avalanche destroys the affine structure the per-sample XOR could
 //! otherwise resonate with. A regression test pins both properties.
 
-/// SplitMix64's output finalizer — a bijection of `u64` with full
-/// avalanche (every input bit flips ~half the output bits).
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use fbcnn_tensor::hash::mix64;
 
 /// Derives the mask seed of request `request_id` from the user-visible
 /// master seed.

@@ -293,7 +293,6 @@ pub fn run_chaos(cfg: &ChaosConfig, registry: &Arc<Registry>) -> ChaosReport {
         min_observations: 4,
         threshold: 0.5,
         cooldown_requests: 4,
-        probes: 2,
     }));
     let mut injector = FaultInjector::new(cfg.seed ^ 0xC4A0_5EED);
     let roster = ChaosClass::roster(cfg.include_latency);
@@ -701,7 +700,6 @@ pub fn run_swap_chaos(
         routing_seed: cfg.seed ^ 0x5A_A55A,
         canary_percent: 50,
         canary_min_requests: 4,
-        canary_trip_threshold: 0.5,
         batch: BatchConfig {
             threads: 1,
             cache_capacity: 8,

@@ -19,6 +19,7 @@ use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::{Network, NodeId};
 use fbcnn_predictor::{PolarityIndicators, ThresholdSet};
+use fbcnn_tensor::hash::{mix64, GOLDEN_GAMMA};
 use fbcnn_tensor::{BitMask, Shape, Tensor};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,11 +170,8 @@ impl FaultInjector {
 
     /// splitmix64 — small, seedable, and plenty for picking fault sites.
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 
     fn below(&mut self, n: usize) -> usize {

@@ -17,21 +17,13 @@ use fast_bcnn::serve::{
     DEFAULT_MAX_FRAME_BYTES, LEN_PREFIX_BYTES, REQUEST_KIND,
 };
 use fast_bcnn::{synth_input, BatchRequest, Engine, Tensor};
+use fbcnn_tensor::hash::{mix64, GOLDEN_GAMMA};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// splitmix64 — the same cheap deterministic mixer the batch tier uses
-/// for seed derivation.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Whether workers wait for each response before sending the next
 /// request (closed loop) or pipeline a window of frames (open loop).
@@ -232,13 +224,17 @@ fn plan_worker(
         let nth = i + 1;
         if cfg.malformed_every > 0 && nth % cfg.malformed_every == 0 {
             plan.push(Planned {
-                bytes: malformed_frame(mix64(cfg.seed ^ id), DEFAULT_MAX_FRAME_BYTES),
+                bytes: malformed_frame(
+                    mix64((cfg.seed ^ id).wrapping_add(GOLDEN_GAMMA)),
+                    DEFAULT_MAX_FRAME_BYTES,
+                ),
                 class: "malformed".to_string(),
                 check: None,
             });
             continue;
         }
-        let pool_idx = (mix64(cfg.seed.wrapping_add(id)) % pool.len() as u64) as usize;
+        let pick = mix64(cfg.seed.wrapping_add(id).wrapping_add(GOLDEN_GAMMA));
+        let pool_idx = (pick % pool.len() as u64) as usize;
         let shed_bound =
             cfg.shed_every > 0 && cfg.shed_class.is_some() && nth % cfg.shed_every == 0;
         let class = if shed_bound {

@@ -523,7 +523,6 @@ pub fn run_slo_soak(
         routing_seed: cfg.seed ^ 0x510_CAFE,
         canary_percent: 50,
         canary_min_requests: 4,
-        canary_trip_threshold: 0.5,
         batch: BatchConfig {
             threads: 1,
             cache_capacity: 8,

@@ -27,6 +27,7 @@ use crate::io::{self, IoError};
 use crate::synth_input;
 use fbcnn_nn::{ActivationGuard, Network, NumericFault};
 use fbcnn_predictor::{PolarityIndicators, ThresholdError, ThresholdSet};
+use fbcnn_tensor::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
@@ -163,12 +164,12 @@ impl ModelArtifact {
     /// over the serde value trees so it is independent of JSON
     /// formatting.
     pub fn content_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::new();
         digest_value(&serde::Serialize::to_value(&self.config), &mut h);
         digest_value(&serde::Serialize::to_value(&self.network), &mut h);
         digest_value(&serde::Serialize::to_value(&self.thresholds), &mut h);
         digest_value(&serde::Serialize::to_value(&self.indicators), &mut h);
-        h
+        h.finish()
     }
 
     /// Runs every load-time screen: digest, config ranges, threshold
@@ -258,47 +259,41 @@ impl ModelArtifact {
 
 /// Folds one serde value tree into an FNV-1a state. Each variant mixes a
 /// distinct tag byte so `0` and `"0"` and `[]` cannot collide.
-fn digest_value(v: &serde::Value, h: &mut u64) {
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+fn digest_value(v: &serde::Value, h: &mut Fnv1a) {
     match v {
-        serde::Value::Null => eat(h, &[0]),
-        serde::Value::Bool(b) => eat(h, &[1, u8::from(*b)]),
+        serde::Value::Null => h.write(&[0]),
+        serde::Value::Bool(b) => h.write(&[1, u8::from(*b)]),
         serde::Value::Int(i) => {
-            eat(h, &[2]);
-            eat(h, &i.to_le_bytes());
+            h.write(&[2]);
+            h.write(&i.to_le_bytes());
         }
         serde::Value::UInt(u) => {
             // An integer digests the same whether it arrived signed or
             // unsigned (the JSON layer picks per magnitude).
-            eat(h, &[2]);
-            eat(h, &(*u as i64).to_le_bytes());
+            h.write(&[2]);
+            h.write(&(*u as i64).to_le_bytes());
         }
         serde::Value::Float(x) => {
-            eat(h, &[4]);
-            eat(h, &x.to_bits().to_le_bytes());
+            h.write(&[4]);
+            h.write_u64(x.to_bits());
         }
         serde::Value::Str(s) => {
-            eat(h, &[5]);
-            eat(h, &(s.len() as u64).to_le_bytes());
-            eat(h, s.as_bytes());
+            h.write(&[5]);
+            h.write_u64(s.len() as u64);
+            h.write(s.as_bytes());
         }
         serde::Value::Array(items) => {
-            eat(h, &[6]);
-            eat(h, &(items.len() as u64).to_le_bytes());
+            h.write(&[6]);
+            h.write_u64(items.len() as u64);
             for item in items {
                 digest_value(item, h);
             }
         }
         serde::Value::Map(entries) => {
-            eat(h, &[7]);
-            eat(h, &(entries.len() as u64).to_le_bytes());
+            h.write(&[7]);
+            h.write_u64(entries.len() as u64);
             for (key, value) in entries {
-                eat(h, key.as_bytes());
+                h.write(key.as_bytes());
                 digest_value(value, h);
             }
         }

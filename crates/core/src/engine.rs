@@ -8,7 +8,7 @@ use fbcnn_predictor::{
     PredictiveInference, PredictorShared, PreparedInput, SkipStats, ThresholdOptimizer,
     ThresholdSet,
 };
-use fbcnn_tensor::{stats, Shape, Tensor};
+use fbcnn_tensor::{hash::mix64, stats, Shape, Tensor};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -786,14 +786,11 @@ impl Engine {
 pub fn synth_input(shape: Shape, seed: u64) -> Tensor {
     let grid = 4usize; // coarse cells per axis
     let hash = |a: u64, b: u64, c: u64| -> f32 {
-        let mut z = seed
+        let key = seed
             .wrapping_add(a << 40)
             .wrapping_add(b << 20)
             .wrapping_add(c);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % 1000) as f32 / 1000.0
+        (mix64(key) % 1000) as f32 / 1000.0
     };
     let cell_h = (shape.height() as f32 / grid as f32).max(1.0);
     let cell_w = (shape.width() as f32 / grid as f32).max(1.0);

@@ -317,11 +317,6 @@ impl FlightRecorder {
         self.lock().armed = Some(path.as_ref().to_path_buf());
     }
 
-    /// The armed postmortem path, if a dump is still pending.
-    pub fn armed_postmortem(&self) -> Option<PathBuf> {
-        self.lock().armed.clone()
-    }
-
     /// Fires the armed postmortem dump (disarming it), writing the
     /// current snapshot with `trigger` as the recorded reason. Returns
     /// `None` when nothing was armed (including: already fired).

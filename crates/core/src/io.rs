@@ -1,11 +1,13 @@
-//! Persistence for the expensive artifacts: trained/calibrated networks,
-//! threshold sets and extracted workloads.
+//! The versioned envelope shared by every file and wire format of the
+//! serving stack: model artifacts ([`crate::ModelArtifact`]), flight
+//! logs, JSONL telemetry traces and the TCP wire frames of
+//! [`crate::serve`].
 //!
 //! Everything serializes as JSON via serde — human-inspectable and
 //! version-control friendly. The offline stage (training, Algorithm 1)
 //! can therefore run once and be reused across experiment sweeps.
 //!
-//! Each file is wrapped in a small envelope,
+//! Each payload is wrapped in a small envelope,
 //! `{"artifact":"<kind>","version":N,"payload":…}`, so that loading a
 //! stale or mislabeled artifact fails with a typed [`IoError`] instead of
 //! a confusing payload parse error — or worse, a silently wrong
@@ -14,24 +16,22 @@
 //! # Examples
 //!
 //! ```no_run
-//! use fast_bcnn::{io, models};
+//! use fast_bcnn::{models::ModelKind, Engine, EngineConfig, ModelArtifact};
 //!
-//! let net = models::lenet5(1);
-//! io::save_network("lenet.json", &net)?;
-//! let back = io::load_network("lenet.json")?;
-//! assert_eq!(net, back);
-//! # Ok::<(), fast_bcnn::io::IoError>(())
+//! let engine = Engine::new(EngineConfig::for_model(ModelKind::LeNet5));
+//! let artifact = ModelArtifact::from_engine(&engine, 1, "lenet");
+//! artifact.save("lenet.json")?;
+//! let back = ModelArtifact::load("lenet.json")?;
+//! assert_eq!(artifact, back);
+//! # Ok::<(), fast_bcnn::ArtifactError>(())
 //! ```
 
-use fbcnn_accel::Workload;
-use fbcnn_nn::Network;
-use fbcnn_predictor::ThresholdSet;
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
 /// The envelope format version written by this build. Bump on any
-/// breaking payload change; [`load_network`] & co. refuse other versions.
+/// breaking payload change; loaders refuse other versions.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Errors from saving or loading artifacts.
@@ -53,7 +53,7 @@ pub enum IoError {
         expected: u32,
     },
     /// The file holds a different artifact kind than requested (e.g. a
-    /// workload passed to [`load_thresholds`]).
+    /// flight log passed to [`crate::ModelArtifact::load`]).
     Kind {
         /// Kind recorded in the file.
         found: String,
@@ -97,23 +97,24 @@ impl From<serde_json::Error> for IoError {
 /// engine configuration in one envelope.
 pub const MODEL_KIND: &str = "model";
 
-pub(crate) fn save<T: Serialize>(
-    path: impl AsRef<Path>,
-    kind: &str,
-    value: &T,
-) -> Result<(), IoError> {
-    let payload = serde_json::to_string(value)?;
-    let json =
-        format!("{{\"artifact\":\"{kind}\",\"version\":{FORMAT_VERSION},\"payload\":{payload}}}");
-    std::fs::write(path, json)?;
-    Ok(())
+/// Wraps `payload_json` in an envelope of `kind` at [`FORMAT_VERSION`] —
+/// the one writer behind model files, flight logs and wire frames.
+pub(crate) fn seal_envelope(kind: &str, payload_json: &str) -> String {
+    format!("{{\"artifact\":\"{kind}\",\"version\":{FORMAT_VERSION},\"payload\":{payload_json}}}")
 }
 
-/// Splits an envelope into `(kind, version, payload)`. The parser is
-/// deliberately strict — it accepts exactly what [`save`] writes — so any
-/// corruption of the header bytes lands here as [`IoError::Envelope`]
-/// rather than deep inside the payload parse.
-pub(crate) fn parse_envelope(json: &str) -> Result<(&str, u32, &str), IoError> {
+/// Opens an envelope that must hold `kind` at `version`, returning the
+/// payload JSON — the one kind/version check behind every loader.
+///
+/// The parser is deliberately strict — it accepts exactly what
+/// [`seal_envelope`] writes — so any corruption of the header bytes
+/// lands here as [`IoError::Envelope`] rather than deep inside the
+/// payload parse.
+pub(crate) fn open_envelope<'a>(
+    json: &'a str,
+    kind: &str,
+    version: u32,
+) -> Result<&'a str, IoError> {
     let envelope = |msg: &str| IoError::Envelope(msg.into());
     let body = json
         .trim()
@@ -123,93 +124,47 @@ pub(crate) fn parse_envelope(json: &str) -> Result<(&str, u32, &str), IoError> {
     let rest = body
         .strip_prefix("\"artifact\":\"")
         .ok_or_else(|| envelope("missing artifact field"))?;
-    let (kind, rest) = rest
+    let (found_kind, rest) = rest
         .split_once('"')
         .ok_or_else(|| envelope("unterminated artifact kind"))?;
     let rest = rest
         .strip_prefix(",\"version\":")
         .ok_or_else(|| envelope("missing version field"))?;
-    let (version, payload) = rest
+    let (found_version, payload) = rest
         .split_once(",\"payload\":")
         .ok_or_else(|| envelope("missing payload field"))?;
-    let version = version
+    let found_version: u32 = found_version
         .parse()
         .map_err(|_| envelope("version is not an integer"))?;
-    Ok((kind, version, payload))
-}
-
-pub(crate) fn load<T: DeserializeOwned>(path: impl AsRef<Path>, kind: &str) -> Result<T, IoError> {
-    let json = std::fs::read_to_string(path)?;
-    let (found_kind, version, payload) = parse_envelope(&json)?;
     if found_kind != kind {
         return Err(IoError::Kind {
             found: found_kind.to_string(),
             expected: kind.to_string(),
         });
     }
-    if version != FORMAT_VERSION {
+    if found_version != version {
         return Err(IoError::Version {
-            found: version,
-            expected: FORMAT_VERSION,
+            found: found_version,
+            expected: version,
         });
     }
+    Ok(payload)
+}
+
+pub(crate) fn save<T: Serialize>(
+    path: impl AsRef<Path>,
+    kind: &str,
+    value: &T,
+) -> Result<(), IoError> {
+    let payload = serde_json::to_string(value)?;
+    std::fs::write(path, seal_envelope(kind, &payload))?;
+    Ok(())
+}
+
+pub(crate) fn load<T: DeserializeOwned>(path: impl AsRef<Path>, kind: &str) -> Result<T, IoError> {
+    let json = std::fs::read_to_string(path)?;
+    let payload = open_envelope(&json, kind, FORMAT_VERSION)?;
     Ok(serde_json::from_str(payload)?)
-}
-
-/// Saves a network (topology + weights) as JSON.
-///
-/// # Errors
-///
-/// Returns [`IoError`] on filesystem or serialization failure.
-pub fn save_network(path: impl AsRef<Path>, net: &Network) -> Result<(), IoError> {
-    save(path, "network", net)
-}
-
-/// Loads a network saved by [`save_network`].
-///
-/// # Errors
-///
-/// Returns [`IoError`] on filesystem or deserialization failure, and the
-/// envelope errors ([`IoError::Envelope`] / [`IoError::Version`] /
-/// [`IoError::Kind`]) on a corrupted, stale or mislabeled artifact.
-pub fn load_network(path: impl AsRef<Path>) -> Result<Network, IoError> {
-    load(path, "network")
-}
-
-/// Saves a calibrated threshold set.
-///
-/// # Errors
-///
-/// Returns [`IoError`] on filesystem or serialization failure.
-pub fn save_thresholds(path: impl AsRef<Path>, t: &ThresholdSet) -> Result<(), IoError> {
-    save(path, "thresholds", t)
-}
-
-/// Loads a threshold set saved by [`save_thresholds`].
-///
-/// # Errors
-///
-/// As [`load_network`].
-pub fn load_thresholds(path: impl AsRef<Path>) -> Result<ThresholdSet, IoError> {
-    load(path, "thresholds")
-}
-
-/// Saves an extracted workload.
-///
-/// # Errors
-///
-/// Returns [`IoError`] on filesystem or serialization failure.
-pub fn save_workload(path: impl AsRef<Path>, w: &Workload) -> Result<(), IoError> {
-    save(path, "workload", w)
-}
-
-/// Loads a workload saved by [`save_workload`].
-///
-/// # Errors
-///
-/// As [`load_network`].
-pub fn load_workload(path: impl AsRef<Path>) -> Result<Workload, IoError> {
-    load(path, "workload")
 }
 
 /// Artifact kind of a flight-recorder postmortem dump
@@ -231,7 +186,10 @@ pub fn save_flight_log(path: impl AsRef<Path>, log: &crate::FlightLog) -> Result
 ///
 /// # Errors
 ///
-/// As [`load_network`].
+/// [`IoError::Io`] on filesystem failure, the envelope errors
+/// ([`IoError::Envelope`] / [`IoError::Version`] / [`IoError::Kind`]) on
+/// a corrupted, stale or mislabeled file, and [`IoError::Serde`] on a
+/// payload that is not a flight log.
 pub fn read_flight_log(path: impl AsRef<Path>) -> Result<crate::FlightLog, IoError> {
     load(path, FLIGHT_LOG_KIND)
 }
@@ -281,19 +239,11 @@ pub fn read_trace_str(text: &str) -> Result<Vec<TraceEvent>, IoError> {
         if line.trim().is_empty() {
             continue;
         }
-        let (kind, version, payload) = parse_envelope(line)?;
-        if kind != fbcnn_telemetry::TRACE_ARTIFACT {
-            return Err(IoError::Kind {
-                found: kind.to_string(),
-                expected: fbcnn_telemetry::TRACE_ARTIFACT.to_string(),
-            });
-        }
-        if version != fbcnn_telemetry::TRACE_FORMAT_VERSION {
-            return Err(IoError::Version {
-                found: version,
-                expected: fbcnn_telemetry::TRACE_FORMAT_VERSION,
-            });
-        }
+        let payload = open_envelope(
+            line,
+            fbcnn_telemetry::TRACE_ARTIFACT,
+            fbcnn_telemetry::TRACE_FORMAT_VERSION,
+        )?;
         events.push(serde_json::from_str(payload)?);
     }
     Ok(events)
@@ -313,108 +263,79 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<TraceEvent>, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synth_input, Engine, EngineConfig};
+    use crate::{Engine, EngineConfig, FlightRecorder, ModelArtifact};
     use fbcnn_nn::models::ModelKind;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("fbcnn_io_{name}_{}.json", std::process::id()))
     }
 
-    #[test]
-    fn network_roundtrip_preserves_weights_and_behavior() {
-        let net = fbcnn_nn::models::lenet5(9);
-        let path = tmp("net");
-        save_network(&path, &net).unwrap();
-        let back = load_network(&path).unwrap();
-        assert_eq!(net, back);
-        let input = synth_input(net.input_shape(), 4);
-        assert_eq!(net.forward(&input), back.forward(&input));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn thresholds_and_workload_roundtrip() {
+    /// Saves a small LeNet-5 model artifact at a fresh temp path and
+    /// returns the path with the file's text.
+    fn saved_model(name: &str) -> (std::path::PathBuf, String) {
         let engine = Engine::new(EngineConfig {
             samples: 3,
             calibration_samples: 2,
             ..EngineConfig::for_model(ModelKind::LeNet5)
         });
-        let tp = tmp("thresholds");
-        save_thresholds(&tp, engine.thresholds()).unwrap();
-        assert_eq!(&load_thresholds(&tp).unwrap(), engine.thresholds());
+        let path = tmp(name);
+        ModelArtifact::from_engine(&engine, 1, "io")
+            .save(&path)
+            .unwrap();
+        let full = std::fs::read_to_string(&path).unwrap();
+        (path, full)
+    }
 
-        let input = synth_input(engine.network().input_shape(), 2);
-        let w = engine.workload(&input);
-        let wp = tmp("workload");
-        save_workload(&wp, &w).unwrap();
-        let back = load_workload(&wp).unwrap();
-        assert_eq!(w, back);
-        // A reloaded workload drives the simulators identically.
-        let a = engine.simulate_fast(&w, 64);
-        let b = engine.simulate_fast(&back, 64);
-        assert_eq!(a, b);
-        let _ = std::fs::remove_file(tp);
-        let _ = std::fs::remove_file(wp);
+    fn load_model(path: impl AsRef<Path>) -> Result<ModelArtifact, IoError> {
+        load(path, MODEL_KIND)
     }
 
     #[test]
     fn load_rejects_garbage_and_missing_files() {
         let p = tmp("garbage");
         std::fs::write(&p, "{not json").unwrap();
-        assert!(matches!(load_network(&p), Err(IoError::Envelope(_))));
+        assert!(matches!(load_model(&p), Err(IoError::Envelope(_))));
         let _ = std::fs::remove_file(p);
         assert!(matches!(
-            load_network("/nonexistent/path.json"),
+            load_model("/nonexistent/path.json"),
             Err(IoError::Io(_))
         ));
     }
 
     #[test]
     fn load_rejects_truncated_artifacts() {
-        let net = fbcnn_nn::models::lenet5(2);
-        let path = tmp("truncated");
-        save_network(&path, &net).unwrap();
-        let full = std::fs::read_to_string(&path).unwrap();
+        let (path, full) = saved_model("truncated");
+        assert!(load_model(&path).is_ok());
         // Cut mid-payload: the envelope header survives, the payload does
         // not — the failure must be a typed Serde/Envelope error.
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(matches!(
-            load_network(&path),
+            load_model(&path),
             Err(IoError::Envelope(_) | IoError::Serde(_))
         ));
         // Cut mid-header.
         std::fs::write(&path, &full[..20]).unwrap();
-        assert!(matches!(load_network(&path), Err(IoError::Envelope(_))));
+        assert!(matches!(load_model(&path), Err(IoError::Envelope(_))));
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn load_rejects_corrupted_payload_bytes() {
-        let net = fbcnn_nn::models::lenet5(2);
-        let path = tmp("corrupt");
-        save_network(&path, &net).unwrap();
-        let full = std::fs::read_to_string(&path).unwrap();
+        let (path, full) = saved_model("corrupt");
         let corrupted = full.replacen("[", "[!!", 1);
         std::fs::write(&path, corrupted).unwrap();
-        assert!(matches!(load_network(&path), Err(IoError::Serde(_))));
+        assert!(matches!(load_model(&path), Err(IoError::Serde(_))));
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn load_rejects_version_and_kind_mismatches() {
-        let engine = Engine::new(EngineConfig {
-            samples: 3,
-            calibration_samples: 2,
-            ..EngineConfig::for_model(ModelKind::LeNet5)
-        });
-        let path = tmp("versioned");
-        save_thresholds(&path, engine.thresholds()).unwrap();
+        let (path, full) = saved_model("versioned");
 
         // A future format version must be refused, not misparsed.
-        let full = std::fs::read_to_string(&path).unwrap();
         let stale = full.replacen("\"version\":1", "\"version\":99", 1);
         std::fs::write(&path, stale).unwrap();
-        match load_thresholds(&path) {
+        match load_model(&path) {
             Err(IoError::Version { found, expected }) => {
                 assert_eq!((found, expected), (99, FORMAT_VERSION));
             }
@@ -422,12 +343,12 @@ mod tests {
         }
 
         // The right version under the wrong loader is a kind error.
-        save_thresholds(&path, engine.thresholds()).unwrap();
-        match load_network(&path) {
+        save_flight_log(&path, &FlightRecorder::new(4).snapshot("unit")).unwrap();
+        match load_model(&path) {
             Err(IoError::Kind { found, expected }) => {
                 assert_eq!(
                     (found.as_str(), expected.as_str()),
-                    ("thresholds", "network")
+                    (FLIGHT_LOG_KIND, MODEL_KIND)
                 );
             }
             other => panic!("unexpected outcome {other:?}"),
@@ -482,7 +403,7 @@ mod tests {
         // message pointing at the envelope, not a payload parse error.
         let path = tmp("legacy");
         std::fs::write(&path, "{\"nodes\":[]}").unwrap();
-        assert!(matches!(load_network(&path), Err(IoError::Envelope(_))));
+        assert!(matches!(load_model(&path), Err(IoError::Envelope(_))));
         let _ = std::fs::remove_file(path);
     }
 }

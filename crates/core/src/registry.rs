@@ -33,7 +33,7 @@ use crate::resilience::{
     ResilientBatchEngine, ResilientOutcome,
 };
 use crate::supervise::{
-    mix64, shard_route, OutcomeSignal, RouteDecision, SuperviseConfig, Supervisor,
+    shard_route, splitmix64, OutcomeSignal, RouteDecision, SuperviseConfig, Supervisor,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -54,9 +54,6 @@ pub struct RegistryConfig {
     pub canary_percent: u32,
     /// Canary requests observed before the version breaker may bind.
     pub canary_min_requests: u64,
-    /// Bad-canary fraction (failures + full-fallback trips over observed)
-    /// at which the rollout auto-rolls back, in `(0, 1]`.
-    pub canary_trip_threshold: f64,
     /// Per-shard batch-engine knobs.
     pub batch: BatchConfig,
     /// Per-shard resilience knobs (each shard gets its own breaker,
@@ -89,7 +86,6 @@ impl Default for RegistryConfig {
             routing_seed: 0x5EED_0F5A,
             canary_percent: 20,
             canary_min_requests: 8,
-            canary_trip_threshold: 0.5,
             batch: BatchConfig::default(),
             resilience: ResilienceConfig::default(),
             sample_hook: None,
@@ -107,7 +103,6 @@ impl fmt::Debug for RegistryConfig {
             .field("routing_seed", &self.routing_seed)
             .field("canary_percent", &self.canary_percent)
             .field("canary_min_requests", &self.canary_min_requests)
-            .field("canary_trip_threshold", &self.canary_trip_threshold)
             .field("batch", &self.batch)
             .field("resilience", &self.resilience)
             .field("sample_hook", &self.sample_hook.is_some())
@@ -137,12 +132,6 @@ impl RegistryConfig {
         }
         if self.canary_min_requests == 0 {
             return fail("canary_min_requests must be > 0".into());
-        }
-        if !(self.canary_trip_threshold > 0.0 && self.canary_trip_threshold <= 1.0) {
-            return fail(format!(
-                "canary_trip_threshold {} out of (0, 1]",
-                self.canary_trip_threshold
-            ));
         }
         if let Some(supervise) = &self.supervise {
             supervise.validate()?;
@@ -267,7 +256,6 @@ impl RegistryReport {
 /// One model version bound to one shard's serving stack.
 struct VersionedEngine {
     version: u64,
-    label: String,
     engine: ResilientBatchEngine,
 }
 
@@ -325,11 +313,14 @@ impl fmt::Debug for ModelRegistry {
 }
 
 const CANARY_SALT: u64 = 0xCA_4A_12;
+/// Bad-canary fraction (failures + full-fallback trips over observed)
+/// at which a rollout auto-rolls back.
+const CANARY_TRIP_THRESHOLD: f64 = 0.5;
 
 /// The deterministic canary predicate behind
 /// [`ModelRegistry::is_canary_id`].
 fn is_canary(routing_seed: u64, percent: u32, id: u64) -> bool {
-    mix64(id ^ routing_seed ^ CANARY_SALT) % 100 < u64::from(percent)
+    splitmix64(id ^ routing_seed ^ CANARY_SALT) % 100 < u64::from(percent)
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -347,13 +338,12 @@ impl ModelRegistry {
         cfg.validate().map_err(ArtifactError::Config)?;
         artifact.validate()?;
         let version = artifact.model_version;
-        let label = artifact.label.clone();
         let retained = artifact.clone();
         let engine = artifact.into_engine()?;
         let shards: Vec<Shard> = (0..cfg.shards)
             .map(|_| {
                 let breaker = Arc::new(CircuitBreaker::new(cfg.resilience.breaker));
-                let ve = build_versioned(&cfg, version, &label, engine.clone(), &breaker);
+                let ve = build_versioned(&cfg, version, engine.clone(), &breaker);
                 Shard {
                     slot: RwLock::new(ve),
                     breaker: RwLock::new(breaker),
@@ -407,17 +397,6 @@ impl ModelRegistry {
         })
     }
 
-    /// The artifact label of the active version.
-    pub fn active_label(&self) -> String {
-        self.shards.first().map_or_else(String::new, |s| {
-            s.slot
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .label
-                .clone()
-        })
-    }
-
     /// The shard a request id primarily routes to (supervision failover
     /// may serve it elsewhere; see [`ModelRegistry::handle_classed`]).
     pub fn shard_of(&self, id: u64) -> usize {
@@ -457,7 +436,7 @@ impl ModelRegistry {
         let candidates = self
             .shards
             .iter()
-            .map(|s| build_versioned(&self.cfg, version, &label, engine.clone(), &s.breaker()))
+            .map(|s| build_versioned(&self.cfg, version, engine.clone(), &s.breaker()))
             .collect();
         let mut slot = lock(&self.rollout);
         if let Some(old) = slot.take() {
@@ -734,7 +713,7 @@ impl ModelRegistry {
         }
         let bad = rollout.failures + rollout.canary_trips;
         let spike = rollout.observed >= self.cfg.canary_min_requests
-            && bad as f64 / rollout.observed as f64 >= self.cfg.canary_trip_threshold;
+            && bad as f64 / rollout.observed as f64 >= CANARY_TRIP_THRESHOLD;
         if !spike {
             return false;
         }
@@ -784,10 +763,9 @@ impl ModelRegistry {
         let artifact = self.retained_artifact();
         artifact.validate()?;
         let version = artifact.model_version;
-        let label = artifact.label.clone();
         let engine = artifact.into_engine()?;
         let breaker = Arc::new(CircuitBreaker::new(self.cfg.resilience.breaker));
-        let ve = build_versioned(&self.cfg, version, &label, engine, &breaker);
+        let ve = build_versioned(&self.cfg, version, engine, &breaker);
         {
             let mut slot = self.shards[shard]
                 .slot
@@ -878,7 +856,6 @@ impl Drop for SupervisorHandle {
 fn build_versioned(
     cfg: &RegistryConfig,
     version: u64,
-    label: &str,
     engine: Engine,
     breaker: &Arc<CircuitBreaker>,
 ) -> Arc<VersionedEngine> {
@@ -893,7 +870,6 @@ fn build_versioned(
     }
     Arc::new(VersionedEngine {
         version,
-        label: label.to_string(),
         engine: resilient,
     })
 }

@@ -47,7 +47,7 @@ use crate::batch::{BatchEngine, BatchOutcome, BatchRequest};
 use crate::engine::{DegradedMode, RobustReport};
 use crate::error::InferenceError;
 use crate::ledger::Ledger;
-use crate::supervise::mix64;
+use crate::supervise::splitmix64;
 use fbcnn_bayes::{CancelToken, Prediction};
 use std::collections::VecDeque;
 use std::fmt;
@@ -154,7 +154,7 @@ pub struct SeededJitter;
 
 impl Jitter for SeededJitter {
     fn factor(&self, token: u64) -> f64 {
-        0.5 + (mix64(token) >> 11) as f64 / (1u64 << 53) as f64 * 0.5
+        0.5 + (splitmix64(token) >> 11) as f64 / (1u64 << 53) as f64 * 0.5
     }
 }
 
@@ -202,7 +202,7 @@ impl RetryPolicy {
             .base_backoff
             .saturating_mul(2u32.saturating_pow(attempt))
             .min(self.max_backoff);
-        let token = mix64(self.seed ^ request_seed).wrapping_add(u64::from(attempt));
+        let token = splitmix64(self.seed ^ request_seed).wrapping_add(u64::from(attempt));
         let factor = jitter.factor(token).clamp(0.0, 1.0);
         Duration::from_nanos((exp.as_nanos() as f64 * factor) as u64)
     }
@@ -246,9 +246,10 @@ pub struct BreakerConfig {
     /// requests, not wall time, so transition sequences are
     /// deterministic under a single-threaded schedule.
     pub cooldown_requests: usize,
-    /// Consecutive successful probes required to close again.
-    pub probes: usize,
 }
+
+/// Consecutive successful half-open probes that close the breaker again.
+const BREAKER_PROBES: usize = 2;
 
 impl Default for BreakerConfig {
     fn default() -> Self {
@@ -257,7 +258,6 @@ impl Default for BreakerConfig {
             min_observations: 8,
             threshold: 0.5,
             cooldown_requests: 8,
-            probes: 2,
         }
     }
 }
@@ -427,7 +427,7 @@ impl CircuitBreaker {
                 } else {
                     fbcnn_telemetry::counter_add("breaker_probes", &[("phase", "passed")], 1);
                     inner.probes_passed += 1;
-                    if inner.probes_passed >= self.cfg.probes.max(1) {
+                    if inner.probes_passed >= BREAKER_PROBES {
                         Self::transition(&mut inner, BreakerState::Closed);
                         inner.window.clear();
                         inner.probes_passed = 0;
@@ -739,37 +739,6 @@ impl ResilientBatchReport {
     pub fn reconcile(&self) -> Result<(), String> {
         self.ledger().check()
     }
-
-    /// Whether every failed request carries a typed error (always true by
-    /// construction — `Result` is typed — but the chaos harness asserts
-    /// it against this list of recognized reasons).
-    pub fn all_losses_typed(&self) -> bool {
-        self.outcomes
-            .iter()
-            .all(|o| o.outcome.result.is_ok() || error_reason(&self.reason_of(o)).is_some())
-    }
-
-    fn reason_of(&self, o: &ResilientOutcome) -> String {
-        match &o.outcome.result {
-            Ok(_) => "ok".into(),
-            Err(e) => error_reason_name(e).into(),
-        }
-    }
-}
-
-fn error_reason(reason: &str) -> Option<&str> {
-    [
-        "input",
-        "thresholds",
-        "numeric",
-        "bayes",
-        "all_samples_failed",
-        "expired",
-        "overloaded",
-        "worker_hung",
-    ]
-    .into_iter()
-    .find(|r| *r == reason)
 }
 
 /// The stable lowercase reason label for a typed inference error — the
@@ -1404,7 +1373,6 @@ mod tests {
             min_observations: 4,
             threshold: 0.5,
             cooldown_requests: 2,
-            probes: 2,
         });
         assert_eq!(b.state(), BreakerState::Closed);
         // 3 failures out of 4 > 0.5 → open.

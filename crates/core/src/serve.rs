@@ -35,7 +35,7 @@ use std::time::Duration;
 use fbcnn_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
-use crate::io::{IoError, FORMAT_VERSION};
+use crate::io::{self, IoError, FORMAT_VERSION};
 use crate::{error_reason_name, BatchRequest, ModelRegistry, RegistryOutcome, RequestClass};
 
 /// Envelope kind of a request frame.
@@ -44,8 +44,12 @@ pub const REQUEST_KIND: &str = "serve-request";
 pub const RESPONSE_KIND: &str = "serve-response";
 /// Bytes of the big-endian length prefix in front of every frame.
 pub const LEN_PREFIX_BYTES: usize = 4;
-/// Default per-frame payload ceiling (1 MiB).
+/// Per-frame payload ceiling (1 MiB) the server enforces on every
+/// connection.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
+/// Accept-loop poll interval (the listener is non-blocking so shutdown
+/// stays responsive).
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Counter metric: connections, labelled `result=accepted|rejected`.
 pub const NET_CONNECTIONS_METRIC: &str = "net_connections";
 /// Counter metric: served frames, labelled
@@ -325,10 +329,7 @@ impl FrameDecoder {
 ///
 /// [`WireError::Oversized`] when the sealed envelope exceeds `max`.
 pub fn seal_frame(kind: &str, payload_json: &str, max: usize) -> Result<Vec<u8>, WireError> {
-    let envelope = format!(
-        "{{\"artifact\":\"{kind}\",\"version\":{FORMAT_VERSION},\"payload\":{payload_json}}}"
-    );
-    encode_frame(envelope.as_bytes(), max)
+    encode_frame(io::seal_envelope(kind, payload_json).as_bytes(), max)
 }
 
 /// Opens a frame payload as an envelope of `kind`, returning the inner
@@ -341,20 +342,7 @@ pub fn seal_frame(kind: &str, payload_json: &str, max: usize) -> Result<Vec<u8>,
 pub fn open_frame(frame: &[u8], kind: &str) -> Result<String, WireError> {
     let text = std::str::from_utf8(frame)
         .map_err(|e| WireError::Envelope(format!("frame is not UTF-8: {e}")))?;
-    let (found_kind, version, payload) = crate::io::parse_envelope(text)?;
-    if version != FORMAT_VERSION {
-        return Err(WireError::StaleVersion {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    if found_kind != kind {
-        return Err(WireError::ForeignKind {
-            found: found_kind.to_string(),
-            expected: kind.to_string(),
-        });
-    }
-    Ok(payload.to_string())
+    Ok(io::open_envelope(text, kind, FORMAT_VERSION)?.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -665,8 +653,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// SLO classes this server admits.
     pub classes: Vec<ClassPolicy>,
-    /// Per-frame payload ceiling in bytes.
-    pub max_frame_bytes: usize,
     /// Concurrent connections; excess accepts are counted and closed.
     pub max_connections: usize,
     /// Per-connection read deadline: a partial frame older than this is
@@ -679,9 +665,6 @@ pub struct ServeConfig {
     /// [`WireError::WriteDeadline`] and the connection closed. Must be
     /// non-zero.
     pub write_timeout: Duration,
-    /// Accept-loop poll interval (the listener is non-blocking so
-    /// shutdown stays responsive).
-    pub accept_poll: Duration,
 }
 
 impl Default for ServeConfig {
@@ -689,11 +672,9 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             classes: default_classes(),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             max_connections: 256,
             read_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(10),
-            accept_poll: Duration::from_millis(2),
         }
     }
 }
@@ -919,7 +900,7 @@ impl Drop for NetServerHandle {
 
 /// Boots the TCP front-end over `registry`.
 ///
-/// The accept loop is non-blocking (polling `cfg.accept_poll`) so
+/// The accept loop is non-blocking (polling every 2 ms) so
 /// shutdown stays responsive; each accepted connection gets its own
 /// worker thread with a read deadline of `cfg.read_timeout`.
 ///
@@ -1003,9 +984,9 @@ pub fn serve(registry: Arc<ModelRegistry>, cfg: ServeConfig) -> Result<NetServer
                 *guard = alive;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(accept_state.cfg.accept_poll);
+                thread::sleep(ACCEPT_POLL);
             }
-            Err(_) => thread::sleep(accept_state.cfg.accept_poll),
+            Err(_) => thread::sleep(ACCEPT_POLL),
         }
     });
 
@@ -1048,7 +1029,7 @@ fn send_response(
     state: &NetState,
     response: &ServeResponse,
 ) -> Result<(), WireError> {
-    let bytes = response.encode(state.cfg.max_frame_bytes)?;
+    let bytes = response.encode(DEFAULT_MAX_FRAME_BYTES)?;
     write_frame(stream, &bytes).map_err(|e| classify_write_failure(&e, state.cfg.write_timeout))
 }
 
@@ -1076,7 +1057,7 @@ fn handle_connection(state: &Arc<NetState>, mut stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
-    let mut decoder = FrameDecoder::new(state.cfg.max_frame_bytes);
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME_BYTES);
     let mut buf = vec![0u8; 16 * 1024];
     'conn: loop {
         // Serve every complete frame already buffered.

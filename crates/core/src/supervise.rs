@@ -38,6 +38,7 @@
 use crate::error::EngineError;
 use crate::ledger::Ledger;
 use fbcnn_telemetry::Clock;
+use fbcnn_tensor::hash::{mix64, GOLDEN_GAMMA};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,23 +59,19 @@ pub const REBUILD_PROBE_REJECTS_METRIC: &str = "rebuild_probe_rejects";
 
 const FAILOVER_SALT: u64 = 0xFA_17_0E_55;
 
-/// `splitmix64` finalizer — the deterministic mixer behind the shard
-/// route, the canary split, the rendezvous failover weights and the
-/// retry backoff jitter.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// One `splitmix64` step from state `x` — the deterministic mixer behind
+/// the shard route, the canary split, the rendezvous failover weights
+/// and the retry backoff jitter.
+#[inline]
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// The primary id → shard route (seeded mod-hash), shared by
 /// [`crate::ModelRegistry::shard_of`], the failover router and the
 /// shard-scoped fault injectors.
 pub fn shard_route(routing_seed: u64, shards: usize, id: u64) -> usize {
-    (mix64(id ^ routing_seed) % shards.max(1) as u64) as usize
+    (splitmix64(id ^ routing_seed) % shards.max(1) as u64) as usize
 }
 
 /// Deterministic rendezvous failover: returns the primary shard when it
@@ -96,7 +93,7 @@ pub fn failover_route(routing_seed: u64, shards: usize, live: &[bool], id: u64) 
         if !*alive {
             continue;
         }
-        let weight = mix64(id ^ routing_seed ^ FAILOVER_SALT.wrapping_mul(shard as u64 + 1));
+        let weight = splitmix64(id ^ routing_seed ^ FAILOVER_SALT.wrapping_mul(shard as u64 + 1));
         if best.is_none_or(|(w, _)| weight > w) {
             best = Some((weight, shard));
         }

@@ -28,7 +28,7 @@
 //! platforms.
 
 use crate::{Layer, Network, Op};
-use fbcnn_tensor::Tensor;
+use fbcnn_tensor::{hash::mix64, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,12 +70,10 @@ fn he_bound(fan_in: usize) -> f32 {
 
 fn rng_for(seed: u64, node: usize, kernel: usize) -> StdRng {
     // SplitMix-style mixing so nearby (node, kernel) pairs decorrelate.
-    let mut z = seed
+    let z = seed
         .wrapping_add((node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add((kernel as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
+    StdRng::seed_from_u64(mix64(z))
 }
 
 /// Fills every layer with plain He-uniform weights (zero mean, zero

@@ -13,7 +13,7 @@
 
 use crate::data::SynthSample;
 use crate::{Layer, Network, Op, PoolKind};
-use fbcnn_tensor::{stats, Tensor};
+use fbcnn_tensor::{hash::mix64, stats, Tensor};
 
 /// Hyper-parameters for [`train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,13 +150,10 @@ struct ForwardCache {
 /// Cheap deterministic Bernoulli bit for training dropout.
 #[inline]
 fn drop_bit(seed: u64, node: usize, i: usize, rate: f64) -> bool {
-    let mut z = seed
+    let key = seed
         .wrapping_add((node as u64) << 32)
         .wrapping_add(i as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z & 0xFFFF) as f64 / 65536.0) < rate
+    ((mix64(key) & 0xFFFF) as f64 / 65536.0) < rate
 }
 
 fn forward_cached(net: &Network, input: &Tensor, dropout: Option<(f64, u64)>) -> ForwardCache {

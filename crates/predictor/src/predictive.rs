@@ -3,7 +3,7 @@ use crate::{PolarityIndicators, ThresholdSet};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::{BayesianNetwork, SampleRun};
 use fbcnn_nn::{NnError, NodeId, Workspace};
-use fbcnn_tensor::{BitMask, Tensor};
+use fbcnn_tensor::{hash::Fnv1a, BitMask, Tensor};
 use std::sync::Arc;
 
 /// The *input-invariant* half of a skipping inference: thresholds,
@@ -100,21 +100,15 @@ impl PreparedInput {
     /// with probability ~2⁻⁶⁴, and a careful cache confirms with
     /// [`PreparedInput::matches`] before reuse.
     pub fn fingerprint(input: &Tensor) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv1a::new();
         let shape = input.shape();
-        eat(shape.channels() as u64);
-        eat(shape.height() as u64);
-        eat(shape.width() as u64);
+        h.write_u64(shape.channels() as u64);
+        h.write_u64(shape.height() as u64);
+        h.write_u64(shape.width() as u64);
         for &v in input.as_slice() {
-            eat(u64::from(v.to_bits()));
+            h.write_u64(u64::from(v.to_bits()));
         }
-        h
+        h.finish()
     }
 
     /// Whether this prepared state was built for exactly `input`

@@ -13,6 +13,8 @@
 //! * [`BitMask`] — a packed bit set over a [`Shape`], used for dropout
 //!   masks, zero-neuron indexes and weight-polarity indicators.
 //! * [`stats`] — small numeric helpers (argmax, mean, variance, softmax).
+//! * [`hash`] — the seeded mixers (SplitMix64, FNV-1a) behind every
+//!   deterministic bit of the workspace.
 //!
 //! # Examples
 //!
@@ -27,6 +29,7 @@
 //! ```
 
 mod bitmask;
+pub mod hash;
 mod shape;
 pub mod stats;
 mod tensor;

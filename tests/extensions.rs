@@ -2,7 +2,8 @@
 //! persistence, timelines, the AlexNet model and the parallel MC runner.
 
 use fast_bcnn::{
-    io, synth_input, Engine, EngineConfig, FastBcnnSim, HwConfig, McDropout, McRequest, SkipMode,
+    synth_input, Engine, EngineConfig, FastBcnnSim, HwConfig, McDropout, McRequest, ModelArtifact,
+    SkipMode,
 };
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::models::{ModelKind, ModelScale};
@@ -45,23 +46,24 @@ fn persisted_artifacts_reproduce_the_run() {
         calibration_samples: 2,
         ..EngineConfig::for_model(ModelKind::LeNet5)
     });
-    let dir = std::env::temp_dir().join(format!("fbcnn_ext_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let path = std::env::temp_dir().join(format!("fbcnn_ext_{}.json", std::process::id()));
+    ModelArtifact::from_engine(&engine, 1, "ext")
+        .save(&path)
+        .unwrap();
 
-    let net_path = dir.join("net.json");
-    let thr_path = dir.join("thresholds.json");
-    io::save_network(&net_path, engine.network()).unwrap();
-    io::save_thresholds(&thr_path, engine.thresholds()).unwrap();
-
-    // A second session reloads both and reproduces predictions exactly.
-    let net = io::load_network(&net_path).unwrap();
-    let _thresholds = io::load_thresholds(&thr_path).unwrap();
-    let bnet = BayesianNetwork::new(net, engine.bayesian_network().drop_rate());
+    // A second session reloads the artifact and reproduces predictions
+    // exactly, on the MC runner and on the calibrated skipping path.
+    let reloaded = ModelArtifact::load(&path).unwrap().into_engine().unwrap();
+    let _ = std::fs::remove_file(path);
+    assert_eq!(reloaded.network(), engine.network());
+    assert_eq!(reloaded.thresholds(), engine.thresholds());
     let input = synth_input(engine.network().input_shape(), 8);
-    let original = McDropout::new(3, engine.config().seed).run(engine.bayesian_network(), &input);
-    let reloaded = McDropout::new(3, engine.config().seed).run(&bnet, &input);
-    assert_eq!(original, reloaded);
-    let _ = std::fs::remove_dir_all(dir);
+    let mc = McDropout::new(3, engine.config().seed);
+    assert_eq!(
+        mc.run(engine.bayesian_network(), &input),
+        mc.run(reloaded.bayesian_network(), &input)
+    );
+    assert_eq!(engine.predict_fast(&input), reloaded.predict_fast(&input));
 }
 
 #[test]

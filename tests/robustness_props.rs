@@ -9,6 +9,7 @@ use fast_bcnn::models::ModelKind;
 use fast_bcnn::{ActivationGuard, Engine, EngineConfig, InferenceError, ThresholdSet};
 use fbcnn_bench::harness::faults::FaultInjector;
 use fbcnn_nn::Workspace;
+use fbcnn_tensor::hash::{mix64, GOLDEN_GAMMA};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -45,11 +46,8 @@ proptest! {
         let nodes: Vec<_> = engine.thresholds().nodes().collect();
         let mut state = jitter_seed;
         let mut next_u16 = move || -> u16 {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z >> 48) as u16
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            (mix64(state) >> 48) as u16
         };
         let mut poisoned = ThresholdSet::never_predict(engine.network().len());
         for node in nodes {
