@@ -1,8 +1,9 @@
 //! Design-choice ablations: counting-lane provisioning (Eq. 9's δ) and
 //! the calibration tolerance.
 
-use fast_bcnn::experiments::ablation;
-use fast_bcnn::report::{format_table, pct};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::ablation;
+use fbcnn_bench::pct;
 use fbcnn_nn::models::ModelKind;
 
 fn main() {

@@ -2,8 +2,9 @@
 //! SynthDigits at several confidence levels (the substitution for the
 //! paper's MNIST accuracy numbers).
 
-use fast_bcnn::experiments::accuracy::{self, TrainedAccuracyConfig};
-use fast_bcnn::report::{format_table, pct};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::accuracy::{self, TrainedAccuracyConfig};
+use fbcnn_bench::pct;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

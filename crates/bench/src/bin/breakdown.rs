@@ -1,8 +1,9 @@
 //! Regenerates the §VI-B1 per-layer cycle breakdown discussion
 //! (first-layer boost, depth profile).
 
-use fast_bcnn::experiments::breakdown;
-use fast_bcnn::report::{format_table, pct, speedup};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::breakdown;
+use fbcnn_bench::{pct, speedup};
 
 fn main() {
     let args = fbcnn_bench::parse_args();

@@ -35,12 +35,13 @@
 //! rebuild re-admits them through a probe gate; both commands print the
 //! per-shard health/ledger table.
 
-use fast_bcnn::report::{format_table, pct, speedup};
+use fast_bcnn::report::format_table;
 use fast_bcnn::{
     synth_input, BaselineSim, BatchConfig, BatchEngine, BatchRequest, CnvlutinSim, Engine,
     EngineConfig, FastBcnnSim, HwConfig, IdealSim, ModelArtifact, ModelRegistry, RegistryConfig,
     ResilienceConfig, ResilientBatchEngine, SkipMode,
 };
+use fbcnn_bench::{pct, speedup};
 use fbcnn_nn::models::{ModelKind, ModelScale};
 
 struct Args {
@@ -372,12 +373,12 @@ fn cmd_simulate(args: &Args) {
 }
 
 fn cmd_characterize(args: &Args) {
-    let cfg = fast_bcnn::experiments::ExpConfig {
+    let cfg = fbcnn_bench::experiments::ExpConfig {
         t: args.samples,
         scale: args.scale,
         ..Default::default()
     };
-    let c = fast_bcnn::experiments::characterization::characterize_model(args.model, &cfg);
+    let c = fbcnn_bench::experiments::characterization::characterize_model(args.model, &cfg);
     let rows: Vec<Vec<String>> = c
         .layers
         .iter()
@@ -398,13 +399,13 @@ fn cmd_characterize(args: &Args) {
 }
 
 fn cmd_train(args: &Args) {
-    let cfg = fast_bcnn::experiments::accuracy::TrainedAccuracyConfig {
+    let cfg = fbcnn_bench::experiments::accuracy::TrainedAccuracyConfig {
         train_size: args.train_size,
         epochs: args.epochs,
         samples: args.samples.min(24),
         ..Default::default()
     };
-    let results = fast_bcnn::experiments::accuracy::run(&[0.68], &cfg);
+    let results = fbcnn_bench::experiments::accuracy::run(&[0.68], &cfg);
     let r = &results[0];
     println!(
         "trained LeNet-5 on SynthDigits ({} images, {} epochs):",
@@ -1010,11 +1011,11 @@ fn cmd_swap(args: &Args) {
 /// windowed recorder. `--postmortem-out` arms the flight recorder: the
 /// first `Critical` window freezes the flight log to that path.
 ///
-/// [`WindowedRegistry`]: fast_bcnn::telemetry::WindowedRegistry
+/// [`WindowedRegistry`]: fbcnn_bench::harness::window::WindowedRegistry
 fn cmd_watch(args: &Args) {
-    use fast_bcnn::telemetry::{
-        HealthStatus, LatencyObjective, ManualClock, SloPolicy, WindowedRegistry,
-        REQUEST_LATENCY_METRIC, STANDARD_QUANTILES,
+    use fast_bcnn::telemetry::{ManualClock, REQUEST_LATENCY_METRIC, STANDARD_QUANTILES};
+    use fbcnn_bench::harness::window::{
+        HealthStatus, LatencyObjective, SloPolicy, WindowedRegistry,
     };
     use std::sync::Arc;
 

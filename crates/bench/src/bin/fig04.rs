@@ -1,8 +1,9 @@
 //! Regenerates Fig. 3 / Fig. 4: zero / unaffected / affected neuron
 //! characterization per BCNN layer.
 
-use fast_bcnn::experiments::characterization;
-use fast_bcnn::report::{format_table, pct};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::characterization;
+use fbcnn_bench::pct;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

@@ -1,8 +1,9 @@
 //! Regenerates Fig. 10: cycles, energy and accuracy across the FB-8…FB-64
 //! design space for the three networks.
 
-use fast_bcnn::experiments::design_space;
-use fast_bcnn::report::{format_table, pct, speedup};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::design_space;
+use fbcnn_bench::{pct, speedup};
 
 fn main() {
     let args = fbcnn_bench::parse_args();

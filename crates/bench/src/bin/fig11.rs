@@ -1,7 +1,8 @@
 //! Regenerates Fig. 11: FB-64 vs Cnvlutin vs ideal vs FB-64-d / FB-64-u.
 
-use fast_bcnn::experiments::comparison;
-use fast_bcnn::report::{format_table, pct, speedup};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::comparison;
+use fbcnn_bench::{pct, speedup};
 
 fn main() {
     let args = fbcnn_bench::parse_args();

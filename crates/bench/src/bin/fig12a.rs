@@ -1,8 +1,9 @@
 //! Regenerates Fig. 12(a): accuracy loss and cycle reduction as a
 //! function of the confidence level `p_cf` (B-VGG16, FB-64).
 
-use fast_bcnn::experiments::sensitivity;
-use fast_bcnn::report::{format_table, pct};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::sensitivity;
+use fbcnn_bench::pct;
 use fbcnn_nn::models::ModelKind;
 
 fn main() {

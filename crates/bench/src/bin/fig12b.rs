@@ -1,8 +1,9 @@
 //! Regenerates Fig. 12(b): FB-64 speedup over the baseline as a function
 //! of the drop rate, per network.
 
-use fast_bcnn::experiments::sensitivity;
-use fast_bcnn::report::{format_table, speedup};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::sensitivity;
+use fbcnn_bench::speedup;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

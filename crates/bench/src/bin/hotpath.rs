@@ -163,7 +163,7 @@ fn main() {
     }
 
     let path = args.json.as_deref().unwrap_or("BENCH_hotpath.json");
-    match fast_bcnn::report::save_json(path, &report) {
+    match fbcnn_bench::save_json(path, &report) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => {
             eprintln!("failed to write {path}: {e}");

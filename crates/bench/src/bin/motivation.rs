@@ -1,8 +1,8 @@
 //! Regenerates the §III motivation numbers: the cost of a complete BCNN
 //! inference relative to one CNN inference on skip-oblivious hardware.
 
-use fast_bcnn::experiments::motivation;
 use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::motivation;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

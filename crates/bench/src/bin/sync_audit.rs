@@ -3,8 +3,9 @@
 //! counting lanes keep the prediction unit ahead of the convolution
 //! unit.
 
-use fast_bcnn::experiments::sync_audit;
-use fast_bcnn::report::{format_table, pct};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::sync_audit;
+use fbcnn_bench::pct;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

@@ -1,7 +1,7 @@
 //! Regenerates Table I: the hardware design space.
 
-use fast_bcnn::experiments::tables;
 use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::tables;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

@@ -1,7 +1,8 @@
 //! Regenerates Table II: FPGA resource usage of the FB-64 design.
 
-use fast_bcnn::experiments::tables;
-use fast_bcnn::report::{format_table, pct};
+use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::tables;
+use fbcnn_bench::pct;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

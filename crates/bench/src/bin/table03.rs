@@ -1,8 +1,8 @@
 //! Regenerates Table III: empirical drop rates of the LFSR BRNG vs the
 //! software Bernoulli generator.
 
-use fast_bcnn::experiments::tables;
 use fast_bcnn::report::format_table;
+use fbcnn_bench::experiments::tables;
 
 fn main() {
     let args = fbcnn_bench::parse_args();

@@ -9,6 +9,8 @@
 //! * [`chaos`] — the resilience chaos soak ([`chaos::run_chaos`]) and the
 //!   hot-swap-under-fire soak ([`chaos::run_swap_chaos`]).
 //! * [`slo`] — the windowed SLO soak ([`slo::run_slo_soak`]).
+//! * [`window`] — the windowed recorder and SLO policy that soak and
+//!   `fastbcnn watch` judge health with.
 //! * [`loadgen`] — the closed/open-loop load generator and the
 //!   adversarial client battery.
 //! * [`soak`] — the TCP serve soak ([`soak::run_serve_soak`]) and the
@@ -28,6 +30,7 @@ pub mod faults;
 pub mod loadgen;
 pub mod slo;
 pub mod soak;
+pub mod window;
 
 /// Routes the global telemetry recorder into `registry` for as long as
 /// the returned guard lives.
@@ -88,8 +91,9 @@ impl Drop for SilencedChaosPanics {
 #[cfg(test)]
 mod tests {
     use super::chaos::{run_chaos, ChaosConfig};
+    use super::window::WindowedRegistry;
     use super::*;
-    use fast_bcnn::telemetry::{ManualClock, WindowedRegistry};
+    use fast_bcnn::telemetry::ManualClock;
 
     /// Both ways a caller can already be recording into the registry it
     /// hands a soak: installed directly, or as the sink of an installed

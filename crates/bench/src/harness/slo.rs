@@ -23,14 +23,15 @@
 //! [`ChaosConfig::quick`]: super::chaos::ChaosConfig::quick
 
 use super::chaos::{canary_crash_hook, run_chaos, ChaosConfig};
+use super::window::{HealthStatus, LatencyObjective, SloPolicy, WindowedRegistry};
 use super::{soak_engine_config, SilencedChaosPanics};
 use fast_bcnn::{
     io, synth_input, ArtifactError, BatchConfig, BatchRequest, Engine, FlightRecorder, Ledger,
     ModelArtifact, ModelRegistry, NoJitter, RegistryConfig, RegistryOutcome, ResilienceConfig,
 };
 use fbcnn_telemetry::{
-    HealthStatus, LatencyObjective, ManualClock, Registry, SloPolicy, WindowedRegistry,
-    QUANTILE_WIDTH_RATIO, REQUEST_LATENCY_METRIC, REQUEST_OUTCOME_METRIC, STANDARD_QUANTILES,
+    ManualClock, Registry, QUANTILE_WIDTH_RATIO, REQUEST_LATENCY_METRIC, REQUEST_OUTCOME_METRIC,
+    STANDARD_QUANTILES,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

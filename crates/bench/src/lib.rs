@@ -16,9 +16,12 @@
 //! Unknown flags and malformed values are hard errors: [`parse_args`]
 //! prints the problem and exits with status 2.
 
-use fast_bcnn::experiments::ExpConfig;
+use experiments::ExpConfig;
+use serde::Serialize;
+use std::path::Path;
 
 pub mod baseline;
+pub mod experiments;
 pub mod harness;
 pub mod record;
 pub mod trace_lint;
@@ -212,10 +215,31 @@ pub fn parse_soak_args(usage: &str, extra: &[&str]) -> SoakArgs {
     soak_args_from(&args, extra).unwrap_or_else(|e| usage_error(&e, usage))
 }
 
+/// Serializes a result record to pretty JSON at `path`.
+///
+/// # Errors
+///
+/// Returns any I/O or serialization error.
+pub fn save_json<T: Serialize>(path: impl AsRef<Path>, value: &T) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    std::fs::write(path, json)
+}
+
+/// Formats a ratio as a percentage string (`0.423` → `"42.3%"`).
+pub fn pct(x: f64) -> String {
+    format!("{:.1}%", x * 100.0)
+}
+
+/// Formats a speedup (`3.14159` → `"3.14x"`).
+pub fn speedup(x: f64) -> String {
+    format!("{x:.2}x")
+}
+
 /// Writes the JSON record if `--json` was given.
-pub fn maybe_dump<T: serde::Serialize>(args: &HarnessArgs, value: &T) {
+pub fn maybe_dump<T: Serialize>(args: &HarnessArgs, value: &T) {
     if let Some(path) = &args.json {
-        if let Err(e) = fast_bcnn::report::save_json(path, value) {
+        if let Err(e) = save_json(path, value) {
             eprintln!("failed to write {path}: {e}");
         } else {
             eprintln!("wrote {path}");
@@ -229,7 +253,7 @@ pub fn maybe_dump<T: serde::Serialize>(args: &HarnessArgs, value: &T) {
 /// failure under `tool`'s name.
 pub fn write_record(tool: &str, record: &BenchRecord, path: &str) {
     let verdict = record.validate();
-    if let Err(e) = fast_bcnn::report::save_json(path, record) {
+    if let Err(e) = save_json(path, record) {
         eprintln!("failed to write {path}: {e}");
         std::process::exit(1);
     }
@@ -338,6 +362,21 @@ mod tests {
         assert!(soak_args_from(&strings(&["--seed"]), &[]).is_err());
         assert!(soak_args_from(&strings(&["--seed", "x"]), &[]).is_err());
         assert!(soak_args_from(&strings(&["--t", "4"]), &[]).is_err());
+    }
+
+    #[test]
+    fn pct_and_speedup_formatting() {
+        assert_eq!(pct(0.423), "42.3%");
+        assert_eq!(speedup(2.675), "2.67x");
+    }
+
+    #[test]
+    fn save_json_roundtrip() {
+        let dir = std::env::temp_dir().join("fbcnn_report_test.json");
+        save_json(&dir, &vec![1, 2, 3]).unwrap();
+        let back: Vec<i32> = serde_json::from_str(&std::fs::read_to_string(&dir).unwrap()).unwrap();
+        assert_eq!(back, vec![1, 2, 3]);
+        let _ = std::fs::remove_file(dir);
     }
 
     #[test]

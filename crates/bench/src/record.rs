@@ -19,9 +19,10 @@ use crate::harness::soak::{
     ServeSoakReport, SuperviseSoakReport, SUPERVISE_HANG_SHARD, SUPERVISE_JAM_SHARD,
     SUPERVISE_PANIC_SHARD,
 };
+use crate::harness::window::HealthStatus;
 use fast_bcnn::ledger::check_rows;
 use fast_bcnn::telemetry::{
-    histogram_quantile, HealthStatus, DEFAULT_BUCKETS, QUANTILE_WIDTH_RATIO, STANDARD_QUANTILES,
+    histogram_quantile, DEFAULT_BUCKETS, QUANTILE_WIDTH_RATIO, STANDARD_QUANTILES,
 };
 use fast_bcnn::{Ledger, LedgerRow};
 use serde::{Deserialize, Serialize, Value};

@@ -9,9 +9,9 @@
 //! This crate is the facade of the reproduction workspace: it ties the
 //! CNN substrate (`fbcnn-nn`), the Bayesian machinery (`fbcnn-bayes`),
 //! the unaffected-neuron predictor (`fbcnn-predictor`) and the
-//! accelerator models (`fbcnn-accel`) into a single [`Engine`] API, and
-//! hosts the [`experiments`] drivers that regenerate every table and
-//! figure of the paper's evaluation (see `EXPERIMENTS.md`).
+//! accelerator models (`fbcnn-accel`) into a single [`Engine`] API and
+//! serves it. The drivers that regenerate the paper's tables and figures
+//! live in `fbcnn-bench` (see `EXPERIMENTS.md`).
 //!
 //! # Quickstart
 //!
@@ -33,7 +33,6 @@ mod artifact;
 mod batch;
 mod engine;
 mod error;
-pub mod experiments;
 mod flight;
 pub mod io;
 pub mod ledger;

@@ -1,9 +1,6 @@
-//! Plain-text table formatting and JSON persistence for experiment
-//! results.
+//! Plain-text table formatting for reports.
 
-use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Formats a fixed-width text table (the style the bench harnesses print).
 ///
@@ -49,27 +46,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Serializes a result record to pretty JSON at `path`.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn save_json<T: Serialize>(path: impl AsRef<Path>, value: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(path, json)
-}
-
-/// Formats a ratio as a percentage string (`0.423` → `"42.3%"`).
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Formats a speedup (`3.14159` → `"3.14x"`).
-pub fn speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,20 +62,5 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
-    }
-
-    #[test]
-    fn pct_and_speedup_formatting() {
-        assert_eq!(pct(0.423), "42.3%");
-        assert_eq!(speedup(2.675), "2.67x");
-    }
-
-    #[test]
-    fn save_json_roundtrip() {
-        let dir = std::env::temp_dir().join("fbcnn_report_test.json");
-        save_json(&dir, &vec![1, 2, 3]).unwrap();
-        let back: Vec<i32> = serde_json::from_str(&std::fs::read_to_string(&dir).unwrap()).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
-        let _ = std::fs::remove_file(dir);
     }
 }

@@ -333,16 +333,16 @@ pub fn seal_frame(kind: &str, payload_json: &str, max: usize) -> Result<Vec<u8>,
 }
 
 /// Opens a frame payload as an envelope of `kind`, returning the inner
-/// payload JSON.
+/// payload JSON borrowed from `frame`.
 ///
 /// # Errors
 ///
 /// Typed [`WireError`] for non-UTF-8 bytes, malformed envelopes, stale
 /// versions and foreign kinds.
-pub fn open_frame(frame: &[u8], kind: &str) -> Result<String, WireError> {
+pub fn open_frame<'a>(frame: &'a [u8], kind: &str) -> Result<&'a str, WireError> {
     let text = std::str::from_utf8(frame)
         .map_err(|e| WireError::Envelope(format!("frame is not UTF-8: {e}")))?;
-    Ok(io::open_envelope(text, kind, FORMAT_VERSION)?.to_string())
+    Ok(io::open_envelope(text, kind, FORMAT_VERSION)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ impl ServeRequest {
     /// Typed [`WireError`] for envelope or payload failures.
     pub fn decode(frame: &[u8]) -> Result<Self, WireError> {
         let payload = open_frame(frame, REQUEST_KIND)?;
-        serde_json::from_str(&payload).map_err(|e| WireError::Payload(e.to_string()))
+        serde_json::from_str(payload).map_err(|e| WireError::Payload(e.to_string()))
     }
 }
 
@@ -515,7 +515,7 @@ impl ServeResponse {
     /// Typed [`WireError`] for envelope or payload failures.
     pub fn decode(frame: &[u8]) -> Result<Self, WireError> {
         let payload = open_frame(frame, RESPONSE_KIND)?;
-        serde_json::from_str(&payload).map_err(|e| WireError::Payload(e.to_string()))
+        serde_json::from_str(payload).map_err(|e| WireError::Payload(e.to_string()))
     }
 }
 

@@ -1,15 +1,12 @@
 //! Property-based tests for the observability layer: quantile
-//! estimates stay inside the documented bucket error bound, the flight
-//! recorder's exemplar retention never loses a failure, and the SLO
-//! burn-rate walk is exactly the arithmetic the policy documents.
+//! estimates stay inside the documented bucket error bound, and the
+//! flight recorder's exemplar retention never loses a failure.
 
 use fast_bcnn::telemetry::{
-    histogram_quantile, Clock, HealthStatus, ManualClock, Recorder, Registry, SloPolicy,
-    WindowedRegistry, QUANTILE_WIDTH_RATIO, REQUEST_OUTCOME_METRIC, STANDARD_QUANTILES,
+    histogram_quantile, Recorder, Registry, QUANTILE_WIDTH_RATIO, STANDARD_QUANTILES,
 };
 use fast_bcnn::{FlightRecord, FlightRecorder};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// The exact same-rank quantile rule the bucket estimate approximates:
 /// rank = ceil(q·total) clamped to [1, total], 1-based into the sorted
@@ -152,85 +149,5 @@ proptest! {
         let ring_ok = log.records.iter().filter(|r| r.ok).count() as u64;
         let total_ok = (outcomes.len() - failed_ids.len()) as u64;
         prop_assert_eq!(log.evicted_ok, total_ok - ring_ok);
-    }
-
-    /// Feeding a synthetic per-window (ok, failed) stream through the
-    /// windowed registry under an injected clock, the policy verdict
-    /// after every window is exactly the documented burn arithmetic —
-    /// including the Ok → Warning → Critical escalations and the decay
-    /// back to Ok as a burst ages out of the spans.
-    #[test]
-    fn burn_rate_walk_matches_the_documented_arithmetic(
-        stream in proptest::collection::vec((0u64..20, 0u64..6), 1..24),
-        budget_permille in 5u64..200,
-    ) {
-        let clock = Arc::new(ManualClock::new());
-        let width = 1_000u64;
-        let windowed = WindowedRegistry::new(
-            width,
-            stream.len() + 4,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        );
-        let policy = SloPolicy {
-            error_budget: budget_permille as f64 / 1000.0,
-            classes: Some(vec!["prop".to_string()]),
-            ..SloPolicy::default()
-        };
-
-        for (w, &(ok, failed)) in stream.iter().enumerate() {
-            clock.set(w as u64 * width);
-            if ok > 0 {
-                windowed.counter_add(
-                    REQUEST_OUTCOME_METRIC,
-                    &[("class", "prop"), ("result", "ok")],
-                    ok,
-                );
-            }
-            if failed > 0 {
-                windowed.counter_add(
-                    REQUEST_OUTCOME_METRIC,
-                    &[("class", "prop"), ("result", "failed")],
-                    failed,
-                );
-            }
-            let got = policy.evaluate(&windowed).status;
-
-            // Independent oracle: fold the stream prefix by hand. A
-            // span of n windows covers [w-n+1, w] inclusive.
-            let span = |n: usize| {
-                let lo = (w + 1).saturating_sub(n);
-                stream[lo..=w]
-                    .iter()
-                    .fold((0u64, 0u64), |(f, t), &(o, x)| (f + x, t + o + x))
-            };
-            let burn = |failed: u64, total: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    (failed as f64 / total as f64) / policy.error_budget
-                }
-            };
-            let (failed_fast, total_fast) = span(policy.fast_windows);
-            let (failed_slow, total_slow) = span(policy.slow_windows);
-            let expected = if total_fast >= policy.min_requests
-                && burn(failed_fast, total_fast) >= policy.critical_burn
-            {
-                HealthStatus::Critical
-            } else if total_slow >= policy.min_requests
-                && burn(failed_slow, total_slow) >= policy.warning_burn
-            {
-                HealthStatus::Warning
-            } else {
-                HealthStatus::Ok
-            };
-            prop_assert_eq!(
-                got,
-                expected,
-                "window {} of stream {:?} (budget {})",
-                w,
-                stream,
-                policy.error_budget
-            );
-        }
     }
 }

@@ -258,16 +258,28 @@ impl Conv2d {
     /// Runs the convolution through the im2col + cache-blocked kernel,
     /// reusing the patch buffer in `ws` across calls.
     ///
-    /// Produces the same bits as [`Conv2d::forward`], except that a NaN
-    /// may come out with another sign or payload: two floats `a`, `b`
-    /// agree when `a.to_bits() == b.to_bits() || (a.is_nan() &&
-    /// b.is_nan())`. The patch matrix zero-fills out-of-bounds positions,
-    /// so padding contributes `w * 0.0` terms that leave every finite
-    /// accumulator unchanged, and all nonzero terms are accumulated in the
-    /// same `(n, i, j)`-ascending order as the naive loop, bias first and
-    /// ReLU last. Which NaN an addition of two NaNs returns depends on
+    /// Produces the same bits as [`Conv2d::forward`] on the domain below,
+    /// except that a NaN may come out with another sign or payload: two
+    /// floats `a`, `b` agree when `a.to_bits() == b.to_bits() ||
+    /// (a.is_nan() && b.is_nan())`. All nonzero terms are accumulated in
+    /// the same `(n, i, j)`-ascending order as the naive loop, bias first
+    /// and ReLU last. Which NaN an addition of two NaNs returns depends on
     /// operand order, which the compiler may pick differently in the two
     /// loops.
+    ///
+    /// The patch matrix zero-fills out-of-bounds positions, so padding
+    /// adds a `w * 0.0` term for every tap the naive loop skips. That term
+    /// is a signed zero when `w` is finite, and it leaves a nonzero finite
+    /// accumulator unchanged. The two kernels therefore agree only where
+    /// every weight is finite and no border neuron's accumulator is `-0.0`
+    /// when a padded `+0.0` term reaches it. Outside that domain a border
+    /// neuron of a padded conv differs:
+    ///
+    /// * bias `-0.0`, weights `0.5` and an all-`-0.0` input give a corner
+    ///   neuron of `-0.0` from [`Conv2d::forward`] but `+0.0` here;
+    /// * an `+Inf` weight on a padded tap gives `inf * 0.0 = NaN` here,
+    ///   where [`Conv2d::forward`] returns `+Inf` for an input of `1.0`;
+    ///   a NaN weight on a padded tap likewise makes the neuron NaN here.
     ///
     /// # Panics
     ///

@@ -32,18 +32,15 @@
 //! assert_eq!(registry.spans().len(), 1);
 //! ```
 
+mod clock;
 mod exposition;
 mod registry;
-mod windowed;
 
+pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use exposition::{parse_exposition, ExpositionError, Sample};
 pub use registry::{
-    CounterSnapshot, HistogramSnapshot, Registry, SpanEvent, DEFAULT_BUCKETS, SPAN_DURATION_METRIC,
-};
-pub use windowed::{
-    histogram_quantile, snapshot_quantile, ClassBurn, Clock, HealthReport, HealthStatus,
-    LatencyObjective, ManualClock, MonotonicClock, SloPolicy, SloViolation, WindowSnapshot,
-    WindowedRegistry, QUANTILE_WIDTH_RATIO, REQUEST_LATENCY_METRIC, REQUEST_OUTCOME_METRIC,
+    histogram_quantile, CounterSnapshot, HistogramSnapshot, Registry, SpanEvent, DEFAULT_BUCKETS,
+    QUANTILE_WIDTH_RATIO, REQUEST_LATENCY_METRIC, REQUEST_OUTCOME_METRIC, SPAN_DURATION_METRIC,
     STANDARD_QUANTILES,
 };
 
@@ -102,8 +99,8 @@ pub trait Recorder: Send + Sync {
     fn span_record(&self, span: &SpanRecord<'_>);
 
     /// The cumulative [`Registry`] this recorder ultimately aggregates
-    /// into, if it has one. Wrapper recorders (e.g.
-    /// [`WindowedRegistry`]) return their inner total registry so that
+    /// into, if it has one. Wrapper recorders (e.g. a windowed SLO
+    /// monitor) return their inner total registry so that
     /// library code holding an `Arc<Registry>` can recognise — via
     /// [`installed_sink_is`] — that the global slot already feeds it,
     /// instead of trying to re-`install` and deadlocking on the
@@ -238,7 +235,7 @@ pub fn is_installed(rec: &Arc<dyn Recorder>) -> bool {
 
 /// Whether the installed recorder ultimately aggregates into `registry`
 /// — either because `registry` *is* the installed recorder, or because
-/// the installed recorder (e.g. a [`WindowedRegistry`]) reports it as
+/// the installed recorder (e.g. a windowed SLO monitor) reports it as
 /// its [`Recorder::sink`]. Library code that is handed an
 /// `Arc<Registry>` should use this, not [`is_installed`], before
 /// deciding whether it needs to `install` — the install lock is not

@@ -35,6 +35,62 @@ pub const DEFAULT_BUCKETS: &[f64] = &[
 /// carries timing distributions without shipping raw span events.
 pub const SPAN_DURATION_METRIC: &str = "span_duration_ns";
 
+/// Histogram of end-to-end request latency in nanoseconds, labeled
+/// `class=<deadline class>`. Recorded by the resilience layer once per
+/// served request attempt chain.
+pub const REQUEST_LATENCY_METRIC: &str = "request_latency_ns";
+
+/// Counter of finished requests, labeled `class=<deadline class>` and
+/// `result=ok|failed`. Every request outcome increments exactly one
+/// cell, so windowed sums reconcile exactly against report accounting.
+pub const REQUEST_OUTCOME_METRIC: &str = "request_outcomes";
+
+/// The standard quantile set rendered by operator tooling.
+pub const STANDARD_QUANTILES: &[(&str, f64)] =
+    &[("p50", 0.5), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)];
+
+/// The documented error bound of [`histogram_quantile`] under the
+/// default power-of-four buckets: the estimate is the upper edge of the
+/// bucket holding the true quantile, so for values at or above the
+/// first bound it over-reports by strictly less than this factor.
+pub const QUANTILE_WIDTH_RATIO: f64 = 4.0;
+
+/// Estimates the `q`-quantile of a fixed-bucket histogram using the
+/// upper-edge rule: the estimate is the smallest bucket upper bound
+/// whose cumulative count reaches `ceil(q * count)`.
+///
+/// Error bound: the true quantile lies in `(prev_bound, bound]`, so the
+/// estimate never under-reports, and over-reports by strictly less than
+/// the bucket width ratio (×[`QUANTILE_WIDTH_RATIO`] for
+/// [`DEFAULT_BUCKETS`]). Two clamps apply: true quantiles below
+/// the first bound report the first bound, and ranks landing in the
+/// overflow (`+Inf`) bucket report the largest finite bound — callers
+/// sizing buckets should keep the observed range inside the bounds.
+///
+/// `counts` carries `bounds.len() + 1` non-cumulative entries (last is
+/// overflow), the layout of [`HistogramSnapshot::counts`]. Returns
+/// `None` for an empty histogram, empty bounds, a `q` outside `(0, 1]`,
+/// or a `counts`/`bounds` length mismatch.
+pub fn histogram_quantile(bounds: &[f64], counts: &[u64], q: f64) -> Option<f64> {
+    if bounds.is_empty() || counts.len() != bounds.len() + 1 || !(q > 0.0 && q <= 1.0) {
+        return None;
+    }
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut cumulative = 0u64;
+    for (i, &c) in counts[..bounds.len()].iter().enumerate() {
+        cumulative += c;
+        if cumulative >= rank {
+            return Some(bounds[i]);
+        }
+    }
+    // Rank falls in the overflow bucket: clamp to the largest bound.
+    bounds.last().copied()
+}
+
 /// Raw span events kept verbatim for the JSONL trace; beyond this the
 /// registry keeps aggregating histograms but drops the raw events (see
 /// [`Registry::dropped_spans`]).
@@ -511,6 +567,24 @@ fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantile_upper_edge_rule() {
+        let bounds = [1.0, 4.0, 16.0];
+        // counts: 2 in (..1], 1 in (1,4], 1 in (4,16], 0 overflow
+        let counts = [2, 1, 1, 0];
+        assert_eq!(histogram_quantile(&bounds, &counts, 0.5), Some(1.0));
+        assert_eq!(histogram_quantile(&bounds, &counts, 0.75), Some(4.0));
+        assert_eq!(histogram_quantile(&bounds, &counts, 1.0), Some(16.0));
+        // Overflow rank clamps to the largest bound.
+        assert_eq!(histogram_quantile(&bounds, &[0, 0, 0, 5], 0.5), Some(16.0));
+        // Degenerate inputs.
+        assert_eq!(histogram_quantile(&bounds, &counts, 0.0), None);
+        assert_eq!(histogram_quantile(&bounds, &counts, 1.5), None);
+        assert_eq!(histogram_quantile(&bounds, &[0, 0, 0, 0], 0.5), None);
+        assert_eq!(histogram_quantile(&[], &[1], 0.5), None);
+        assert_eq!(histogram_quantile(&bounds, &[1, 2], 0.5), None);
+    }
 
     #[test]
     fn counters_accumulate_per_label_set() {

@@ -1,7 +1,7 @@
 //! Smoke tests for every experiment driver at quick scale — each paper
 //! artifact must regenerate and keep its qualitative shape.
 
-use fast_bcnn::experiments::{
+use fbcnn_bench::experiments::{
     accuracy, characterization, comparison, design_space, motivation, sensitivity, tables,
     ExpConfig,
 };
